@@ -15,11 +15,11 @@
 // scheduling overhead rather than scaling (the profiler's
 // serializing-register attribution stays valid either way).
 #include <iostream>
-#include <thread>
 
 #include "bench_util.hpp"
 #include "domino/parser.hpp"
 #include "native/backend.hpp"
+#include "native/cpus.hpp"
 #include "trace/trace_source.hpp"
 
 using namespace mp5;
@@ -50,10 +50,9 @@ double run_native(const Mp5Program& program, std::size_t fields,
 
 int main() {
   print_header("Native multicore backend: pkts/s vs cores and batch size",
-               "NFOS-style software switch; cf. arXiv 2309.14647");
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::cout << "hardware threads: " << hw
-            << " (workers beyond this time-share cores)\n\n";
+               "NFOS-style software switch");
+  std::cout << "usable CPUs: " << native::usable_cpus()
+            << " (workers + dispatcher beyond this time-share cores)\n\n";
 
   BenchReport report("native");
   struct AppCase {

@@ -111,6 +111,14 @@ void ShardedState::note_completed(RegId reg, RegIndex index) {
   --per.in_flight[index];
 }
 
+std::uint64_t ShardedState::in_flight_total() const {
+  std::uint64_t total = 0;
+  for (const auto& per : regs_) {
+    for (const std::uint32_t n : per.in_flight) total += n;
+  }
+  return total;
+}
+
 std::uint32_t ShardedState::alive_count() const {
   return static_cast<std::uint32_t>(
       std::count(alive_.begin(), alive_.end(), true));

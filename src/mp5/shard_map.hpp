@@ -103,6 +103,9 @@ public:
   /// Address-resolution bookkeeping (§3.4).
   void note_resolved(RegId reg, RegIndex index); // access ctr +1, in-flight +1
   void note_completed(RegId reg, RegIndex index); // in-flight -1
+  /// Sum of every index's in-flight counter: 0 once each resolved access
+  /// has completed. O(table size).
+  std::uint64_t in_flight_total() const;
 
   /// Run the periodic rebalance for every shardable register array.
   /// Returns the number of indexes moved. O(touched indices + k·regs) per

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "native/cpus.hpp"
 #include "native/spsc_ring.hpp"
 #include "packet/packet.hpp" // kUnresolvedIndex
 
@@ -22,8 +23,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr std::uint16_t kNoOwner = 0xffff;
+constexpr std::uint8_t kNoOwner = 0xff;
 constexpr std::uint8_t kSkipState = 1; // resolved guard false at dispatch
+constexpr std::uint8_t kNoted = 2;     // made the domain's D2 note
 
 /// One planned stateful access of one in-flight packet. Written by the
 /// dispatcher at admission, read by workers; the packet ref's ring
@@ -33,9 +35,129 @@ struct PlanEntry {
   RegIndex index = kUnresolvedIndex; // resolved index (D2 accounting)
   std::uint32_t gate = 0;            // slot in done_[reg]
   std::uint16_t reg = 0;
-  std::uint16_t owner = kNoOwner;
+  std::uint8_t owner = kNoOwner;     // workers <= 64
   std::uint8_t flags = 0;
 };
+static_assert(kCacheLine % sizeof(PlanEntry) == 0,
+              "plan rows are padded to whole cache lines");
+
+/// Allocator whose blocks start on a cache line, so a table with
+/// line-multiple rows never puts two rows on one line.
+template <class T>
+struct LineAllocator {
+  using value_type = T;
+  LineAllocator() = default;
+  template <class U>
+  LineAllocator(const LineAllocator<U>&) {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{kCacheLine}));
+  }
+  void deallocate(T* p, std::size_t) {
+    ::operator delete(p, std::align_val_t{kCacheLine});
+  }
+  friend bool operator==(const LineAllocator&, const LineAllocator&) {
+    return true;
+  }
+};
+
+/// Refs waiting for room in one ring, in FIFO order. A partially
+/// accepted batch only advances a consumed-prefix offset (no memmove per
+/// push); the prefix is dropped once it is half the buffer, so a ring
+/// that stays congested cannot grow the buffer without bound.
+struct Pending {
+  std::vector<std::uint32_t> refs;
+  std::size_t off = 0;
+
+  bool empty() const { return refs.size() == off; }
+
+  void flush(SpscRing<std::uint32_t>& ring) {
+    if (empty()) return;
+    off += ring.push_batch(refs.data() + off, refs.size() - off);
+    if (off == refs.size()) {
+      refs.clear();
+      off = 0;
+    } else if (off >= refs.size() / 2) {
+      refs.erase(refs.begin(),
+                 refs.begin() + static_cast<std::ptrdiff_t>(off));
+      off = 0;
+    }
+  }
+};
+
+/// Registers grouped into D2 shard domains. Two registers share a domain
+/// when both are shardable, each has exactly one access whose index
+/// resolves at arrival, their sizes are equal and their index operands
+/// are identical: then every packet resolves both to the same index, and
+/// one ownership map keeps the packet on one worker for both accesses.
+/// Every other register is a domain of its own.
+struct ShardDomains {
+  std::vector<ir::RegisterSpec> specs; // per domain: its first register's
+  std::vector<bool> shardable;         // per domain
+  std::vector<RegId> of_access;        // access ordinal -> domain
+  /// Nearest earlier access of the same shared domain, or -1.
+  std::vector<std::int32_t> prev_twin;
+};
+
+bool same_operand(const ir::Operand& a, const ir::Operand& b) {
+  if (a.is_const != b.is_const) return false;
+  return a.is_const ? a.constant == b.constant : a.slot == b.slot;
+}
+
+ShardDomains group_domains(const Mp5Program& program) {
+  const auto& regs = program.pvsm.registers;
+  const auto& accesses = program.accesses;
+  // The single access of each register, or -1 when it has none or several.
+  std::vector<std::int32_t> sole(regs.size(), -1);
+  std::vector<std::uint32_t> count(regs.size(), 0);
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    if (++count[accesses[i].reg] == 1) {
+      sole[accesses[i].reg] = static_cast<std::int32_t>(i);
+    } else {
+      sole[accesses[i].reg] = -1;
+    }
+  }
+  const auto groupable = [&](RegId r) {
+    return program.shardable[r] && sole[r] >= 0 &&
+           accesses[static_cast<std::size_t>(sole[r])].index_resolvable;
+  };
+
+  ShardDomains out;
+  std::vector<RegId> of_reg(regs.size());
+  std::vector<RegId> first_reg; // per domain
+  std::vector<bool> shared;     // per domain: built from groupable registers
+  for (RegId r = 0; r < regs.size(); ++r) {
+    RegId d = 0;
+    for (; d < first_reg.size(); ++d) {
+      const RegId q = first_reg[d];
+      if (shared[d] && groupable(r) && regs[q].size == regs[r].size &&
+          same_operand(accesses[static_cast<std::size_t>(sole[q])].index,
+                       accesses[static_cast<std::size_t>(sole[r])].index)) {
+        break;
+      }
+    }
+    if (d == first_reg.size()) {
+      first_reg.push_back(r);
+      shared.push_back(groupable(r));
+      out.specs.push_back(regs[r]);
+      out.shardable.push_back(program.shardable[r]);
+    }
+    of_reg[r] = d;
+  }
+
+  out.of_access.resize(accesses.size());
+  out.prev_twin.assign(accesses.size(), -1);
+  std::vector<std::int32_t> last(first_reg.size(), -1);
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    const RegId d = of_reg[accesses[i].reg];
+    out.of_access[i] = d;
+    if (shared[d]) {
+      out.prev_twin[i] = last[d];
+      last[d] = static_cast<std::int32_t>(i);
+    }
+  }
+  return out;
+}
 
 /// Plain-array register file over the backend's shared value table.
 /// Stateless itself; cell-level exclusivity comes from shard ownership.
@@ -51,18 +173,15 @@ private:
   std::vector<std::vector<Value>>* v_;
 };
 
-void pin_current_thread(std::uint32_t core) {
+void pin_current_thread(std::uint32_t cpu) {
 #if defined(__linux__)
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return;
   cpu_set_t set;
   CPU_ZERO(&set);
-  CPU_SET(core % hw, &set);
-  // Best effort: failure (restricted affinity masks in containers) only
-  // costs locality, never correctness.
+  CPU_SET(cpu, &set);
+  // Best effort: failure only costs locality, never correctness.
   pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 #else
-  (void)core;
+  (void)cpu;
 #endif
 }
 
@@ -87,11 +206,17 @@ struct NativeBackend::Impl {
 
   // Dispatcher-private.
   std::vector<std::vector<std::uint32_t>> next_ticket; // same shape as done
-  ShardedState state;
+  ShardDomains domains;
+  ShardedState state; // one D2 map per shard domain
 
   // Packet pool (ref-indexed plain arrays; ring handoffs order access).
+  // A packet's plan row starts on its own cache line: the dispatcher
+  // planning one packet never writes a line a worker is reading for
+  // another. pos_stage/pos_atom/hopped are reset by the egressing worker,
+  // so the dispatcher never writes them at all.
   std::vector<std::vector<Value>> headers;
-  std::vector<PlanEntry> plans; // pool * naccesses
+  std::size_t plan_stride = 0; // PlanEntry slots per packet row
+  std::vector<PlanEntry, LineAllocator<PlanEntry>> plans;
   std::vector<SeqNo> seq;
   std::vector<std::uint16_t> pos_stage;
   std::vector<std::uint16_t> pos_atom;
@@ -103,21 +228,28 @@ struct NativeBackend::Impl {
   std::vector<std::unique_ptr<SpscRing<std::uint32_t>>> xfer_ring; // from*W+to
 
   ValuesRegFile regfile{&values};
-  /// More runnable threads (workers + dispatcher) than hardware threads:
+  /// More runnable threads (workers + dispatcher) than usable CPUs:
   /// spinning then burns scheduler quanta the thread we wait for needs,
   /// so idle paths yield immediately instead of pause-looping.
   bool oversubscribed = false;
+  /// CPU worker i pins to: the i-th CPU of the affinity mask (mod size).
+  std::vector<std::uint32_t> pin_cpus;
+  /// The dispatcher admitted everything: workers drain, then exit.
   std::atomic<bool> stop{false};
+  /// A thread failed: workers exit at once, abandoning in-flight packets.
+  std::atomic<bool> failed{false};
   std::vector<std::exception_ptr> worker_error;
   std::vector<WorkerScratch> scratch;
+  // Last: the workers use every member above; ~Impl joins them first.
+  std::vector<std::thread> threads;
 
   Impl(const Mp5Program& prog, const NativeOptions& o)
-      : program(prog), opts(o),
-        state(prog.pvsm.registers, prog.shardable, o.workers, o.policy,
+      : program(prog), opts(o), domains(group_domains(prog)),
+        state(domains.specs, domains.shardable, o.workers, o.policy,
               Rng(o.seed)) {
     validate();
-    const unsigned hw = std::thread::hardware_concurrency();
-    oversubscribed = hw != 0 && opts.workers + 1u > hw;
+    oversubscribed = opts.workers + 1u > usable_cpus();
+    if (opts.pin_threads) pin_cpus = affinity_cpu_ids();
     slots = program.pvsm.num_slots();
     naccesses = program.accesses.size();
     nregs = program.pvsm.registers.size();
@@ -143,7 +275,9 @@ struct NativeBackend::Impl {
 
     const std::uint32_t pool = opts.pool_packets;
     headers.assign(pool, std::vector<Value>(slots, 0));
-    plans.assign(static_cast<std::size_t>(pool) * naccesses, PlanEntry{});
+    constexpr std::size_t kPerLine = kCacheLine / sizeof(PlanEntry);
+    plan_stride = (naccesses + kPerLine - 1) / kPerLine * kPerLine;
+    plans.assign(static_cast<std::size_t>(pool) * plan_stride, PlanEntry{});
     seq.assign(pool, 0);
     pos_stage.assign(pool, 0);
     pos_atom.assign(pool, 0);
@@ -168,6 +302,8 @@ struct NativeBackend::Impl {
     scratch.reserve(w);
     for (std::uint32_t i = 0; i < w; ++i) scratch.emplace_back(nregs);
   }
+
+  ~Impl() { halt_workers(); }
 
   void validate() const {
     if (opts.workers < 1 || opts.workers > 64) {
@@ -227,7 +363,7 @@ struct NativeBackend::Impl {
   }
 
   PlanEntry* plan_of(std::uint32_t ref) {
-    return plans.data() + static_cast<std::size_t>(ref) * naccesses;
+    return plans.data() + static_cast<std::size_t>(ref) * plan_stride;
   }
 
   SpscRing<std::uint32_t>& xfer(std::uint32_t from, std::uint32_t to) {
@@ -239,22 +375,15 @@ struct NativeBackend::Impl {
   enum class Outcome { kParked, kForwarded, kEgressed };
 
   struct OutBufs {
-    // Per-destination pending refs with a consumed-prefix offset, so a
-    // partially accepted batch keeps FIFO order without memmove.
-    std::vector<std::vector<std::uint32_t>> to;
-    std::vector<std::size_t> to_off;
-    std::vector<std::uint32_t> egress;
-    std::size_t egress_off = 0;
+    std::vector<Pending> to; // per destination worker
+    Pending egress;
 
-    explicit OutBufs(std::uint32_t workers)
-        : to(workers), to_off(workers, 0) {}
+    explicit OutBufs(std::uint32_t workers) : to(workers) {}
 
     bool pending() const {
-      if (egress.size() != egress_off) return true;
-      for (std::size_t i = 0; i < to.size(); ++i) {
-        if (to[i].size() != to_off[i]) return true;
-      }
-      return false;
+      return !egress.empty() ||
+             std::any_of(to.begin(), to.end(),
+                         [](const Pending& p) { return !p.empty(); });
     }
   };
 
@@ -295,7 +424,7 @@ struct NativeBackend::Impl {
           pos_atom[ref] = static_cast<std::uint16_t>(at);
           hopped[ref] = 1;
           ++s.stats.forwards;
-          outs.to[e.owner].push_back(ref);
+          outs.to[e.owner].refs.push_back(ref);
           return Outcome::kForwarded;
         }
         std::uint32_t& done_ctr = done[e.reg][e.gate];
@@ -329,34 +458,24 @@ struct NativeBackend::Impl {
       at = 0;
       ++s.stats.stages;
     }
-    outs.egress.push_back(ref);
+    // Leave the ref's position at the start for its next packet, so
+    // admission never writes these worker-read lines.
+    pos_stage[ref] = 0;
+    pos_atom[ref] = 0;
+    hopped[ref] = 0;
+    outs.egress.refs.push_back(ref);
     return Outcome::kEgressed;
   }
 
   void flush_outs(std::uint32_t me, OutBufs& outs) {
     for (std::uint32_t w = 0; w < opts.workers; ++w) {
-      auto& buf = outs.to[w];
-      auto& off = outs.to_off[w];
-      if (buf.size() == off) continue;
-      off += xfer(me, w).push_batch(buf.data() + off, buf.size() - off);
-      if (off == buf.size()) {
-        buf.clear();
-        off = 0;
-      }
+      if (w != me) outs.to[w].flush(xfer(me, w));
     }
-    auto& ebuf = outs.egress;
-    if (ebuf.size() != outs.egress_off) {
-      outs.egress_off += egress_ring[me]->push_batch(
-          ebuf.data() + outs.egress_off, ebuf.size() - outs.egress_off);
-      if (outs.egress_off == ebuf.size()) {
-        ebuf.clear();
-        outs.egress_off = 0;
-      }
-    }
+    outs.egress.flush(*egress_ring[me]);
   }
 
   void worker_main(std::uint32_t me) {
-    if (opts.pin_threads) pin_current_thread(me);
+    if (!pin_cpus.empty()) pin_current_thread(pin_cpus[me % pin_cpus.size()]);
     WorkerScratch& s = scratch[me];
     OutBufs outs(opts.workers);
     std::vector<SpscRing<std::uint32_t>*> in;
@@ -369,7 +488,7 @@ struct NativeBackend::Impl {
     const bool profiling = opts.profile;
     auto t_prev = profiling ? Clock::now() : Clock::time_point{};
 
-    while (true) {
+    while (!failed.load(std::memory_order_relaxed)) {
       bool did = false;
       // Parked packets first, FIFO: the claim they wait on may have just
       // executed.
@@ -420,18 +539,41 @@ struct NativeBackend::Impl {
     }
   }
 
+  void spawn_workers() {
+    threads.reserve(opts.workers);
+    for (std::uint32_t i = 0; i < opts.workers; ++i) {
+      threads.emplace_back([this, i] {
+        try {
+          worker_main(i);
+        } catch (...) {
+          worker_error[i] = std::current_exception();
+          failed.store(true, std::memory_order_release);
+        }
+      });
+    }
+  }
+
+  void join_workers() {
+    for (auto& t : threads) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+  /// Stop every worker now, abandoning in-flight packets, and join them.
+  void halt_workers() {
+    failed.store(true, std::memory_order_release);
+    join_workers();
+  }
+
   // ---- dispatcher side --------------------------------------------------
 
   void admit(std::uint32_t ref, const TraceItem& item, SeqNo n,
-             std::vector<std::vector<std::uint32_t>>& outbuf) {
+             std::vector<Pending>& outbuf) {
     auto& hdr = headers[ref];
     std::fill(hdr.begin(), hdr.end(), 0);
     const std::size_t nf = std::min(item.fields.size(), declared);
     for (std::size_t f = 0; f < nf; ++f) hdr[f] = item.fields[f];
     seq[ref] = n;
-    pos_stage[ref] = 0;
-    pos_atom[ref] = 0;
-    hopped[ref] = 0;
 
     // Address resolution (the D4 resolver): compute every preemptively
     // resolvable index and guard on the arrival headers.
@@ -441,7 +583,7 @@ struct NativeBackend::Impl {
     }
 
     PlanEntry* plan = plan_of(ref);
-    std::uint16_t first_owner = kNoOwner;
+    std::uint8_t first_owner = kNoOwner;
     for (std::size_t i = 0; i < naccesses; ++i) {
       const AccessDescriptor& desc = program.accesses[i];
       PlanEntry& e = plan[i];
@@ -454,53 +596,53 @@ struct NativeBackend::Impl {
           continue;
         }
       }
-      e.flags = 0;
-      e.index = desc.index_resolvable
-                    ? ir::resolve_index(desc.index, hdr,
-                                        specs[desc.reg].size)
-                    : kUnresolvedIndex;
+      // A later twin in a shard domain copies index and owner from the
+      // nearest earlier twin that was not skipped, so each domain is
+      // resolved, placed and noted once per packet.
+      std::int32_t twin = domains.prev_twin[i];
+      while (twin >= 0 && (plan[twin].flags & kSkipState)) {
+        twin = domains.prev_twin[static_cast<std::size_t>(twin)];
+      }
+      if (twin >= 0) {
+        e.index = plan[twin].index;
+        e.owner = plan[twin].owner;
+        e.flags = 0;
+      } else {
+        const RegId d = domains.of_access[i];
+        e.index = desc.index_resolvable
+                      ? ir::resolve_index(desc.index, hdr,
+                                          specs[desc.reg].size)
+                      : kUnresolvedIndex;
+        e.owner = static_cast<std::uint8_t>(state.pipeline_of(d, e.index));
+        state.note_resolved(d, e.index);
+        e.flags = kNoted;
+      }
       e.gate = program.shardable[desc.reg] ? e.index : 0;
       e.ticket = next_ticket[desc.reg][e.gate]++;
-      e.owner =
-          static_cast<std::uint16_t>(state.pipeline_of(desc.reg, e.index));
-      state.note_resolved(desc.reg, e.index);
       if (first_owner == kNoOwner) first_owner = e.owner;
     }
     if (first_owner == kNoOwner) {
       // Stateless packet: spread round-robin.
-      first_owner = static_cast<std::uint16_t>(n % opts.workers);
+      first_owner = static_cast<std::uint8_t>(n % opts.workers);
     }
-    outbuf[first_owner].push_back(ref);
+    outbuf[first_owner].refs.push_back(ref);
   }
 
-  NativeResult run(TraceSource& source) {
-    NativeResult result;
+  /// The dispatcher's admit/reap loop. Returns when every packet has
+  /// egressed, or early when a worker failed.
+  void dispatch(TraceSource& source, NativeResult& result) {
     const std::uint32_t w = opts.workers;
 
     std::vector<std::uint32_t> free_refs(opts.pool_packets);
     for (std::uint32_t i = 0; i < opts.pool_packets; ++i) {
       free_refs[i] = opts.pool_packets - 1 - i;
     }
-    std::vector<std::vector<std::uint32_t>> outbuf(w);
-    std::vector<std::size_t> outoff(w, 0);
+    std::vector<Pending> outbuf(w);
     std::vector<std::uint32_t> reap(opts.batch);
 
     if (const auto hint = source.size();
         opts.record_egress && hint.has_value()) {
       result.egress_fields.reserve(static_cast<std::size_t>(*hint));
-    }
-
-    std::vector<std::thread> threads;
-    threads.reserve(w);
-    for (std::uint32_t i = 0; i < w; ++i) {
-      threads.emplace_back([this, i] {
-        try {
-          worker_main(i);
-        } catch (...) {
-          worker_error[i] = std::current_exception();
-          stop.store(true, std::memory_order_release);
-        }
-      });
     }
 
     const auto t0 = Clock::now();
@@ -509,9 +651,8 @@ struct NativeBackend::Impl {
     std::uint64_t last_rebalance = 0;
     const bool moving_policy = opts.policy == ShardingPolicy::kDynamic ||
                                opts.policy == ShardingPolicy::kIdealLpt;
-    bool worker_died = false;
 
-    while (!worker_died) {
+    while (!failed.load(std::memory_order_acquire)) {
       bool did = false;
 
       // Admit while the pool and the first-hop rings have room.
@@ -527,17 +668,7 @@ struct NativeBackend::Impl {
         source.advance();
         did = true;
       }
-      for (std::uint32_t i = 0; i < w; ++i) {
-        auto& buf = outbuf[i];
-        auto& off = outoff[i];
-        if (buf.size() == off) continue;
-        off += dispatch_ring[i]->push_batch(buf.data() + off,
-                                            buf.size() - off);
-        if (off == buf.size()) {
-          buf.clear();
-          off = 0;
-        }
-      }
+      for (std::uint32_t i = 0; i < w; ++i) outbuf[i].flush(*dispatch_ring[i]);
 
       // Reap egressed packets: D2 in-flight accounting, optional egress
       // recording, ref recycling.
@@ -548,8 +679,9 @@ struct NativeBackend::Impl {
           const std::uint32_t ref = reap[p];
           const PlanEntry* plan = plan_of(ref);
           for (std::size_t a = 0; a < naccesses; ++a) {
-            if (plan[a].flags & kSkipState) continue;
-            state.note_completed(plan[a].reg, plan[a].index);
+            if (plan[a].flags & kNoted) {
+              state.note_completed(domains.of_access[a], plan[a].index);
+            }
           }
           if (opts.record_egress) {
             const SeqNo sq = seq[ref];
@@ -581,25 +713,39 @@ struct NativeBackend::Impl {
         if (oversubscribed) std::this_thread::yield();
         else cpu_relax();
       }
-      for (std::uint32_t i = 0; i < w && !worker_died; ++i) {
-        worker_died = worker_error[i] != nullptr;
-      }
     }
 
     const auto t1 = Clock::now();
-    stop.store(true, std::memory_order_release);
-    for (auto& t : threads) t.join();
-    for (std::uint32_t i = 0; i < w; ++i) {
-      if (worker_error[i]) std::rethrow_exception(worker_error[i]);
-    }
-
     result.packets = admitted;
     result.seconds =
         std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
             .count();
+  }
+
+  NativeResult run(TraceSource& source) {
+    NativeResult result;
+    try {
+      spawn_workers();
+      dispatch(source, result);
+    } catch (...) {
+      halt_workers();
+      throw;
+    }
+    stop.store(true, std::memory_order_release);
+    join_workers();
+    for (std::uint32_t i = 0; i < opts.workers; ++i) {
+      if (worker_error[i]) std::rethrow_exception(worker_error[i]);
+    }
+    if (const std::uint64_t left = state.in_flight_total(); left != 0) {
+      throw Error("native: D2 in-flight counters did not balance (" +
+                  std::to_string(left) + " accesses still in flight)");
+    }
+
     result.pkts_per_sec =
-        result.seconds > 0.0 ? static_cast<double>(admitted) / result.seconds
-                             : 0.0;
+        result.seconds > 0.0
+            ? static_cast<double>(result.packets) / result.seconds
+            : 0.0;
+    result.oversubscribed = oversubscribed;
     result.final_registers = values;
     merge_profile(result);
     return result;
@@ -610,6 +756,10 @@ struct NativeBackend::Impl {
     prof.workers.reserve(opts.workers);
     for (const auto& s : scratch) prof.workers.push_back(s.stats);
 
+    // A register serializes scaling only when its busiest owner did at
+    // least 1.5x an even 1/cores share of its accesses; below that its
+    // ownership is spread and more cores still help.
+    const double named_share = 1.5 / static_cast<double>(opts.workers);
     prof.registers.resize(nregs);
     std::uint64_t best_serial = 0;
     for (RegId r = 0; r < nregs; ++r) {
@@ -630,7 +780,8 @@ struct NativeBackend::Impl {
         rs.owner_share = static_cast<double>(rs.busiest_owner_accesses) /
                          static_cast<double>(rs.claimed);
       }
-      if (rs.busiest_owner_accesses > best_serial) {
+      if (rs.owner_share >= named_share &&
+          rs.busiest_owner_accesses > best_serial) {
         best_serial = rs.busiest_owner_accesses;
         prof.serializing_register = rs.name;
       }

@@ -16,6 +16,10 @@
 //     policy — the dispatcher periodically rebalances ownership with the
 //     Figure 6 heuristic (an index is only re-homed when no packet is in
 //     flight to it, so migration never races an access);
+//   * registers that every packet indexes identically (same size, same
+//     index operand, one access each) share one *shard domain*: one D2
+//     map, one placement and one in-flight note per packet, so the packet
+//     visits one worker for all of them. Tickets stay per register;
 //   * packets travel between cores through SPSC batched rings; a worker
 //     executes program stages in order, performs the stateful atoms it
 //     owns, and forwards the packet to the owner of the next access;
@@ -55,8 +59,8 @@ struct NativeOptions {
   /// (dynamic/ideal policies only; 0 disables periodic rebalancing).
   std::uint64_t rebalance_packets = 8192;
   std::uint64_t seed = 1;
-  /// Pin worker i to CPU i mod hardware_concurrency (Linux only; silently
-  /// best-effort elsewhere).
+  /// Pin worker i to the (i mod n)-th of the n CPUs in the constructing
+  /// thread's affinity mask (Linux only; silently best-effort elsewhere).
   bool pin_threads = true;
   /// Record final declared-field values per packet (oracle checking;
   /// O(packets) memory — leave off for throughput runs).
@@ -72,6 +76,9 @@ struct NativeResult {
   double pkts_per_sec = 0.0;
   std::uint64_t shard_moves = 0;
   std::uint64_t rebalances = 0;
+  /// Workers + dispatcher exceeded usable_cpus(): idle paths yielded to
+  /// the scheduler instead of spinning.
+  bool oversubscribed = false;
   /// Final register state, flattened per RegisterSpec (oracle-comparable).
   std::vector<std::vector<Value>> final_registers;
   /// Final declared-field values per packet by seq (record_egress only).
@@ -90,7 +97,9 @@ public:
   NativeBackend& operator=(const NativeBackend&) = delete;
 
   /// Drain the source to exhaustion. Single-shot: construct a fresh
-  /// backend per run.
+  /// backend per run. Every worker is joined before run() returns or
+  /// throws: an exception from the source or a worker propagates, and a
+  /// run whose D2 in-flight counters do not balance to zero throws Error.
   NativeResult run(TraceSource& source);
 
 private:

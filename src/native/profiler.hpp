@@ -8,7 +8,9 @@
 // register with the largest such share is the serialization bottleneck in
 // the Amdahl sense: its owner must touch that fraction of the workload
 // serially no matter how many cores are added (cf. NFOS's packet-set
-// state, scalability-profiler.c).
+// state, scalability-profiler.c). A register is only named when its
+// busiest owner did at least 1.5x an even (1/cores) share of its
+// accesses: evenly sharded state is not a bottleneck, however large.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +48,13 @@ struct NativeProfile {
   std::vector<WorkerStats> workers;
   std::vector<RegisterStats> registers;
   /// Register whose busiest single owner had to serially execute the
-  /// largest fraction of the run; empty when the program has no claimed
-  /// state accesses.
+  /// largest fraction of the run, among registers whose owner_share is at
+  /// least 1.5/cores; empty when no register is that concentrated (its
+  /// state spreads across workers, or the run has one core).
   std::string serializing_register;
   /// That fraction, relative to total packets: ~1.0 means every packet
-  /// serialized through one core (a global counter), ~1/k means the
-  /// register shards perfectly.
+  /// serialized through one core (a global counter). 0 when no register
+  /// is named.
   double serial_fraction = 0.0;
 };
 

@@ -7,6 +7,7 @@
 #include "banzai/machine.hpp"
 #include "banzai/single_pipeline.hpp"
 #include "common/error.hpp"
+#include "common/hashing.hpp"
 #include "domino/compiler.hpp"
 #include "metrics/equivalence.hpp"
 #include "mp5/timeline.hpp"
@@ -32,6 +33,43 @@ TEST(IrPrinting, CoversEveryInstructionForm) {
   EXPECT_NE(dump.find("r["), std::string::npos);
   EXPECT_NE(dump.find("[if "), std::string::npos);
   EXPECT_NE(dump.find("guard"), std::string::npos);
+}
+
+TEST(IrExec, HashOfEveryArityMatchesTheBuiltinsOrTheHash2Fold) {
+  // Operands mix header slots and a constant; slot 0 receives the hash.
+  const std::vector<Value> args = {11, -7, 42, 1u << 20, 5};
+  for (std::size_t arity = 2; arity <= 5; ++arity) {
+    SCOPED_TRACE("arity " + std::to_string(arity));
+    ir::TacInstr instr;
+    instr.op = ir::TacOp::kHash;
+    instr.dst = 0;
+    std::vector<Value> headers(1 + arity, 0);
+    for (std::size_t i = 0; i < arity; ++i) {
+      if (i == 1) {
+        instr.hash_args.push_back(ir::Operand::make_const(args[i]));
+      } else {
+        headers[1 + i] = args[i];
+        instr.hash_args.push_back(
+            ir::Operand::make_slot(static_cast<ir::Slot>(1 + i)));
+      }
+    }
+    ir::FlatRegFile regs({});
+    ir::exec_instr(instr, headers, regs, {});
+    Value expect = 0;
+    switch (arity) {
+      case 2: expect = hash2(args[0], args[1]); break;
+      case 3: expect = hash3(args[0], args[1], args[2]); break;
+      case 5:
+        expect = hash5(args[0], args[1], args[2], args[3], args[4]);
+        break;
+      default:
+        for (std::size_t i = 0; i < arity; ++i) {
+          expect = hash2(expect, args[i]);
+        }
+        break;
+    }
+    EXPECT_EQ(headers[0], expect);
+  }
 }
 
 TEST(MachineUsage, ReportsProgramFootprint) {

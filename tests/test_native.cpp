@@ -8,11 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "apps/programs.hpp"
 #include "common/error.hpp"
@@ -23,6 +28,7 @@
 #include "fuzz/trace_gen.hpp"
 #include "mp5/transform.hpp"
 #include "native/backend.hpp"
+#include "native/cpus.hpp"
 #include "native/oracle.hpp"
 #include "native/spsc_ring.hpp"
 #include "trace/trace_source.hpp"
@@ -324,16 +330,43 @@ TEST(NativeProfiler, GlobalCounterIsNamedAsTheSerializingRegister) {
   EXPECT_DOUBLE_EQ(regs[0].owner_share, 1.0);
 }
 
+const apps::AppSpec& flowlet_spec() {
+  static const auto all = apps::real_apps();
+  for (const auto& app : all) {
+    if (app.name == "flowlet") return app;
+  }
+  throw Error("flowlet app missing");
+}
+
+std::uint64_t total_forwards(const native::NativeResult& result) {
+  std::uint64_t forwards = 0;
+  for (const auto& w : result.profile.workers) forwards += w.forwards;
+  return forwards;
+}
+
+TEST(NativeProfiler, EvenlyShardedFlowletNamesNoRegister) {
+  // Each flowlet array's busiest owner does ~1/cores of its accesses:
+  // below the 1.5/cores bar, so nothing is blamed for serializing.
+  const auto cp = compile_source(flowlet_spec().source);
+  const Trace trace = synthetic_trace(cp.ast.fields.size(), 8000, 11, 4096);
+  for (const std::uint32_t cores : {2u, 4u}) {
+    SCOPED_TRACE("cores " + std::to_string(cores));
+    native::NativeOptions opts;
+    opts.workers = cores;
+    opts.rebalance_packets = 512;
+    const auto result = run_native(cp, trace, opts);
+    EXPECT_EQ(result.profile.serializing_register, "");
+    EXPECT_DOUBLE_EQ(result.profile.serial_fraction, 0.0);
+    for (const auto& r : result.profile.registers) {
+      EXPECT_LT(r.owner_share, 1.5 / cores) << r.name;
+    }
+  }
+}
+
 TEST(NativeProfiler, ShardableStateSpreadsOwnershipAcrossWorkers) {
   // flowlet's per-flow arrays shard by index: with many flows no single
   // owner should hold everything once rebalancing has run.
-  const apps::AppSpec* flowlet = nullptr;
-  auto all = apps::real_apps();
-  for (const auto& app : all) {
-    if (app.name == "flowlet") flowlet = &app;
-  }
-  ASSERT_NE(flowlet, nullptr);
-  const auto cp = compile_source(flowlet->source);
+  const auto cp = compile_source(flowlet_spec().source);
   const Trace trace = synthetic_trace(cp.ast.fields.size(), 8000, 11, 4096);
   native::NativeOptions opts;
   opts.workers = 4;
@@ -369,6 +402,208 @@ TEST(NativeBackend, WorkerAccountingIsConsistent) {
     EXPECT_LE(r.owner_share, 1.0);
   }
 }
+
+// ---- shard domains ---------------------------------------------------------
+
+TEST(NativeShardDomains, FlowletRegistersShareOneDomainAndNeverForward) {
+  // last_time and saved_hop are both indexed by the same resolved hash
+  // bin: one domain, so every packet runs on one worker.
+  const auto cp = compile_source(flowlet_spec().source);
+  const Trace trace = synthetic_trace(cp.ast.fields.size(), 6000, 21, 4096);
+  for (const std::uint32_t cores : {2u, 4u}) {
+    SCOPED_TRACE("cores " + std::to_string(cores));
+    native::NativeOptions opts;
+    opts.workers = cores;
+    opts.rebalance_packets = 512;
+    const auto result = run_native(cp, trace, opts);
+    EXPECT_EQ(total_forwards(result), 0u);
+    for (const auto& r : result.profile.registers) {
+      EXPECT_EQ(r.remote, 0u) << r.name;
+    }
+    EXPECT_GT(result.shard_moves, 0u) << "domain never rebalanced";
+    const auto check =
+        native::check_against_oracle(cp.ast, cp.program, trace, result);
+    EXPECT_TRUE(check.equivalent) << check.first_difference;
+  }
+}
+
+/// Runs `source` at 2 cores and returns the total forwards (after checking
+/// oracle equivalence).
+std::uint64_t forwards_at_two_cores(const std::string& source) {
+  const auto cp = compile_source(source);
+  const Trace trace = synthetic_trace(cp.ast.fields.size(), 3000, 5);
+  native::NativeOptions opts;
+  opts.workers = 2;
+  const auto result = run_native(cp, trace, opts);
+  const auto check =
+      native::check_against_oracle(cp.ast, cp.program, trace, result);
+  EXPECT_TRUE(check.equivalent) << check.first_difference;
+  return total_forwards(result);
+}
+
+TEST(NativeShardDomains, EqualIndexOperandsWithDifferentSizesStaySeparate) {
+  // Same operand, but p.id resolves to different indices in a 64- and a
+  // 32-entry array: two independently placed maps.
+  EXPECT_GT(forwards_at_two_cores(R"(
+    struct Packet { int id; int v; };
+    int a[64] = {0};
+    int b[32] = {0};
+    void func(struct Packet p) {
+      a[p.id] = a[p.id] + p.v;
+      b[p.id] = b[p.id] + 1;
+    }
+  )"),
+            0u);
+}
+
+TEST(NativeShardDomains, RegistersIndexedByDifferentFieldsStaySeparate) {
+  EXPECT_GT(forwards_at_two_cores(R"(
+    struct Packet { int x; int y; };
+    int a[64] = {0};
+    int b[64] = {0};
+    void func(struct Packet p) {
+      a[p.x] = a[p.x] + 1;
+      b[p.y] = b[p.y] + p.x;
+    }
+  )"),
+            0u);
+}
+
+TEST(NativeShardDomains, D2BalancesWithAGuardSkippedTwin) {
+  // One domain of three arrays: the first and the last access sit behind
+  // guards resolved at arrival, so either end of the twin chain can be
+  // skipped. run() throws if an in-flight note is left unbalanced.
+  const auto cp = compile_source(R"(
+    struct Packet { int id; int x; int y; };
+    int a[64] = {0};
+    int b[64] = {0};
+    int c[64] = {0};
+    void func(struct Packet p) {
+      if (p.x > 30) { a[p.id] = a[p.id] + 1; }
+      b[p.id] = b[p.id] + p.y;
+      if (p.y > 40) { c[p.id] = c[p.id] + p.x; }
+    }
+  )");
+  std::size_t guarded = 0;
+  for (const auto& desc : cp.program.accesses) {
+    guarded += desc.guard != ir::kNoSlot && desc.guard_resolvable;
+  }
+  ASSERT_EQ(guarded, 2u) << "guards must be resolvable at arrival";
+  const Trace trace = synthetic_trace(cp.ast.fields.size(), 3000, 9);
+  for (const std::uint32_t cores : {1u, 2u, 4u}) {
+    for (const ShardingPolicy policy :
+         {ShardingPolicy::kDynamic, ShardingPolicy::kStaticRandom,
+          ShardingPolicy::kSinglePipeline, ShardingPolicy::kIdealLpt}) {
+      SCOPED_TRACE("cores " + std::to_string(cores) + " policy " +
+                   std::to_string(static_cast<int>(policy)));
+      native::NativeOptions opts;
+      opts.workers = cores;
+      opts.policy = policy;
+      opts.rebalance_packets = 256;
+      native::NativeResult result;
+      ASSERT_NO_THROW(result = run_native(cp, trace, opts));
+      EXPECT_EQ(total_forwards(result), 0u);
+      const auto check =
+          native::check_against_oracle(cp.ast, cp.program, trace, result);
+      EXPECT_TRUE(check.equivalent) << check.first_difference;
+    }
+  }
+}
+
+// ---- failure paths ---------------------------------------------------------
+
+/// Streams a trace, then throws mid-run instead of reaching its end.
+class ThrowingSource final : public TraceSource {
+public:
+  ThrowingSource(const Trace& trace, std::uint64_t throw_at)
+      : inner_(trace), throw_at_(throw_at) {}
+  const TraceItem* peek() override {
+    if (inner_.consumed() == throw_at_) throw Error("source failed");
+    return inner_.peek();
+  }
+  void advance() override { inner_.advance(); }
+  std::uint64_t consumed() const override { return inner_.consumed(); }
+  void skip_to(std::uint64_t n) override { inner_.skip_to(n); }
+  std::optional<std::uint64_t> size() const override { return std::nullopt; }
+
+private:
+  VectorTraceSource inner_;
+  std::uint64_t throw_at_;
+};
+
+#if defined(__linux__)
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+/// live_threads(), after giving just-joined threads a moment to leave
+/// /proc.
+std::size_t live_threads_settled(std::size_t expect) {
+  std::size_t n = live_threads();
+  for (int tries = 0; tries < 200 && n != expect; ++tries) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    n = live_threads();
+  }
+  return n;
+}
+#endif
+
+TEST(NativeBackend, ThrowingSourcePropagatesAndJoinsWorkers) {
+  const auto cp = compile_source(flowlet_spec().source);
+  const Trace trace = synthetic_trace(cp.ast.fields.size(), 20000, 4, 4096);
+  for (const std::uint32_t cores : {1u, 2u, 4u}) {
+    SCOPED_TRACE("cores " + std::to_string(cores));
+    native::NativeOptions opts;
+    opts.workers = cores;
+    opts.pin_threads = false;
+    native::NativeBackend backend(cp.program, opts);
+    ThrowingSource source(trace, 12345);
+#if defined(__linux__)
+    const std::size_t before = live_threads();
+#endif
+    // Packets are still in flight when the source throws: the workers
+    // must be stopped and joined, not left spinning or terminated.
+    EXPECT_THROW(backend.run(source), Error);
+#if defined(__linux__)
+    EXPECT_EQ(live_threads_settled(before), before)
+        << "workers outlived run()";
+#endif
+  }
+}
+
+#if defined(__linux__)
+TEST(NativeBackend, OneCpuMaskIsOversubscribedAndStillOracleEqual) {
+  cpu_set_t original;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  const auto cpus = native::affinity_cpu_ids();
+  ASSERT_FALSE(cpus.empty());
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpus.front(), &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  // Threads inherit the mask, so the run below is confined to one CPU.
+  EXPECT_EQ(native::usable_cpus(), 1u);
+  const auto cp = compile_source(flowlet_spec().source);
+  const Trace trace = synthetic_trace(cp.ast.fields.size(), 4000, 13, 4096);
+  native::NativeOptions opts;
+  opts.workers = 2;
+  opts.pin_threads = true; // targets the mask's only CPU
+  opts.record_egress = true;
+  native::NativeResult result;
+  {
+    native::NativeBackend backend(cp.program, opts);
+    VectorTraceSource source(trace);
+    result = backend.run(source);
+  }
+  sched_setaffinity(0, sizeof(original), &original);
+  EXPECT_TRUE(result.oversubscribed);
+  const auto check =
+      native::check_against_oracle(cp.ast, cp.program, trace, result);
+  EXPECT_TRUE(check.equivalent) << check.first_difference;
+}
+#endif
 
 } // namespace
 } // namespace mp5::test

@@ -38,6 +38,7 @@
 #include "domino/parser.hpp"
 #include "mp5/transform.hpp"
 #include "native/backend.hpp"
+#include "native/cpus.hpp"
 #include "native/oracle.hpp"
 #include "telemetry/json_writer.hpp"
 #include "trace/trace_io.hpp"
@@ -224,12 +225,12 @@ int run(int argc, char** argv) {
   if (args.native.workers < 1) {
     throw ConfigError("--cores must be >= 1");
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw != 0 && args.native.workers > hw) {
+  if (const std::uint32_t cpus = native::usable_cpus();
+      args.native.workers > cpus) {
     std::cerr << "mp5native: warning: --cores " << args.native.workers
-              << " exceeds this host's " << hw
-              << " hardware thread(s); workers will time-share cores and "
-                 "throughput numbers will not reflect scaling\n";
+              << " exceeds the " << cpus
+              << " CPU(s) this process may use; workers will time-share "
+                 "cores and throughput numbers will not reflect scaling\n";
   }
 
   const auto ast = domino::parse(source);

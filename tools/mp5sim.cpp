@@ -69,7 +69,6 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
-#include <thread>
 
 #include "apps/programs.hpp"
 #include "banzai/single_pipeline.hpp"
@@ -85,6 +84,7 @@
 #include "mp5/checkpoint.hpp"
 #include "mp5/simulator.hpp"
 #include "mp5/transform.hpp"
+#include "native/cpus.hpp"
 #include "trace/trace_source.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/results.hpp"
@@ -255,13 +255,13 @@ int run(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   validate_checkpoint_args(args);
 
-  if (const unsigned hw = std::thread::hardware_concurrency();
-      hw != 0 && args.threads > hw) {
+  if (const std::uint32_t cpus = native::usable_cpus();
+      args.threads > cpus) {
     std::cerr << "mp5sim: warning: --threads " << args.threads
-              << " exceeds this host's " << hw
-              << " hardware thread(s); lanes will time-share cores (results "
-                 "stay bit-identical, wall-clock speedups will not "
-                 "materialize)\n";
+              << " exceeds the " << cpus
+              << " CPU(s) this process may use; lanes will time-share "
+                 "cores (results stay bit-identical, wall-clock speedups "
+                 "will not materialize)\n";
   }
 
   // Resolve the program.
