@@ -53,18 +53,11 @@ void validate_replicated(const SimOptions& o) {
                       "the staleness_bound knob applies to variant "
                       "'relaxed' only");
   }
-  if (o.threads == 0) {
-    throw ConfigError("SimOptions: threads must be >= 1");
-  }
-  if (o.threads > 1) {
-    throw ConfigError("SimOptions: " + v +
-                      " does not support the parallel engine; the threads "
-                      "knob applies to variant 'mp5' only");
-  }
-  if (o.engine != SimEngine::kLockstep) {
+  if (o.engine != SimEngine::kEvent) {
     throw ConfigError("SimOptions: " + v +
                       " runs its own dense cycle walk; the engine knob "
-                      "(event engine) applies to variant 'mp5' only");
+                      "(lockstep reference walk) applies to variant 'mp5' "
+                      "only (leave the default)");
   }
   if (o.sharding != ShardingPolicy::kDynamic) {
     throw ConfigError("SimOptions: " + v +

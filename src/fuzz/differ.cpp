@@ -94,10 +94,10 @@ std::string SimConfig::name() const {
     if (checkpoint_restore) os << "-ckpt";
     return os.str();
   }
-  os << "k" << pipelines << "-" << fuzz::to_string(sharding) << "-t" << threads
+  os << "k" << pipelines << "-" << fuzz::to_string(sharding)
      << (fast_forward ? "-ff" : "-noff")
      << (reference_rebalance ? "-ref" : "-incr");
-  if (engine == SimEngine::kEvent) os << "-ev";
+  if (engine == SimEngine::kLockstep) os << "-lockstep";
   if (checkpoint_restore) os << "-ckpt";
   return os.str();
 }
@@ -119,7 +119,6 @@ SimOptions SimConfig::to_options() const {
     return opts;
   }
   opts.sharding = sharding;
-  opts.threads = threads;
   opts.reference_rebalance = reference_rebalance;
   opts.engine = engine;
   opts.remap_period = remap_period;
@@ -133,20 +132,17 @@ std::vector<SimConfig> full_config_matrix() {
     for (const ShardingPolicy policy :
          {ShardingPolicy::kDynamic, ShardingPolicy::kStaticRandom,
           ShardingPolicy::kIdealLpt}) {
-      for (const std::uint32_t threads : {1u, 4u}) {
-        for (const bool ff : {true, false}) {
-          for (const bool ref_rebalance : {false, true}) {
-            for (const SimEngine engine :
-                 {SimEngine::kLockstep, SimEngine::kEvent}) {
-              SimConfig cfg;
-              cfg.pipelines = k;
-              cfg.sharding = policy;
-              cfg.threads = threads;
-              cfg.fast_forward = ff;
-              cfg.reference_rebalance = ref_rebalance;
-              cfg.engine = engine;
-              matrix.push_back(cfg);
-            }
+      for (const bool ff : {true, false}) {
+        for (const bool ref_rebalance : {false, true}) {
+          for (const SimEngine engine :
+               {SimEngine::kEvent, SimEngine::kLockstep}) {
+            SimConfig cfg;
+            cfg.pipelines = k;
+            cfg.sharding = policy;
+            cfg.fast_forward = ff;
+            cfg.reference_rebalance = ref_rebalance;
+            cfg.engine = engine;
+            matrix.push_back(cfg);
           }
         }
       }
@@ -157,7 +153,7 @@ std::vector<SimConfig> full_config_matrix() {
 
 std::vector<SimConfig> quick_config_matrix() {
   std::vector<SimConfig> matrix;
-  SimConfig cfg; // k4 dynamic t1 ff incremental
+  SimConfig cfg; // k4 dynamic ff incremental
   matrix.push_back(cfg);
   cfg.pipelines = 2;
   cfg.sharding = ShardingPolicy::kStaticRandom;
@@ -168,13 +164,10 @@ std::vector<SimConfig> quick_config_matrix() {
   cfg.fast_forward = false;
   matrix.push_back(cfg);
   cfg = SimConfig{};
-  cfg.threads = 4;
   cfg.reference_rebalance = true;
   matrix.push_back(cfg);
-  cfg = SimConfig{}; // k4 dynamic t1 ff incremental, event engine
-  cfg.engine = SimEngine::kEvent;
-  matrix.push_back(cfg);
-  cfg.threads = 4;
+  cfg = SimConfig{}; // k4 dynamic ff incremental, lockstep reference walk
+  cfg.engine = SimEngine::kLockstep;
   matrix.push_back(cfg);
   return matrix;
 }

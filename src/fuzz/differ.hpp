@@ -3,8 +3,8 @@
 //   1. the AstInterp oracle (direct source semantics),
 //   2. the banzai::SinglePipeline reference (compiled PVSM, §2.2), and
 //   3. the MP5 simulator across a configuration matrix
-//      (k ∈ {2,4,8} × sharding policy × engine threads × fast-forward
-//       on/off × reference_rebalance on/off)
+//      (k ∈ {2,4,8} × sharding policy × fast-forward on/off ×
+//       reference_rebalance on/off × event/lockstep walk)
 // via check_equivalence. Every run is lossless (unbounded FIFOs) with the
 // paranoid invariant watchdog armed, so a failure is a divergence, a drop
 // in a lossless config, or a crash/invariant violation — exactly the
@@ -37,12 +37,11 @@ struct SimConfig {
   std::uint32_t staleness = 0;
   std::uint32_t pipelines = 4;
   ShardingPolicy sharding = ShardingPolicy::kDynamic;
-  /// Engine threads; 1 = sequential engine, >1 = parallel lane engine.
-  std::uint32_t threads = 1;
   bool fast_forward = true;
   bool reference_rebalance = false;
-  /// Cycle-walk engine: lockstep dense scan or event-driven bitmap walk.
-  SimEngine engine = SimEngine::kLockstep;
+  /// Cycle walk: the event-driven bitmap walk (default) or the lockstep
+  /// dense reference walk.
+  SimEngine engine = SimEngine::kEvent;
   std::uint32_t remap_period = 32;
   std::size_t fifo_capacity = 0; // 0 = unbounded (lossless)
   std::uint64_t seed = 1;
@@ -53,8 +52,9 @@ struct SimConfig {
   /// uninterrupted run (the mp5-checkpoint v1 bit-identity contract).
   bool checkpoint_restore = false;
 
-  /// Stable human-readable id, e.g. "k4-dynamic-t1-ff-incr"
-  /// (event-engine cells get an extra "-ev" suffix); variant cells use
+  /// Stable human-readable id, e.g. "k4-dynamic-ff-incr"
+  /// (lockstep reference cells get an extra "-lockstep" suffix); variant
+  /// cells use
   /// "k4-scr-ff" / "k2-relaxed64-noff".
   std::string name() const;
   SimOptions to_options() const;
@@ -64,9 +64,9 @@ std::string to_string(ShardingPolicy policy);
 /// Inverse of to_string; throws ConfigError on unknown names.
 ShardingPolicy sharding_from_string(const std::string& name);
 
-/// The full ISSUE matrix: 3 k-values x 3 sharding policies x 2 thread
-/// counts x fast-forward on/off x reference/incremental rebalance x
-/// lockstep/event engine.
+/// The full matrix (72 cells): 3 k-values x 3 sharding policies x
+/// fast-forward on/off x reference/incremental rebalance x event/lockstep
+/// walk.
 std::vector<SimConfig> full_config_matrix();
 /// A small subset for smoke tests (one config per distinguishing axis).
 std::vector<SimConfig> quick_config_matrix();

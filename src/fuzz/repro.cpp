@@ -167,7 +167,6 @@ void save_reproducer(const Reproducer& repro, const std::string& json_path) {
   w.kv("staleness", repro.config.staleness);
   w.kv("pipelines", repro.config.pipelines);
   w.kv("sharding", to_string(repro.config.sharding));
-  w.kv("threads", repro.config.threads);
   w.kv("fast_forward", repro.config.fast_forward);
   w.kv("reference_rebalance", repro.config.reference_rebalance);
   w.kv("engine", mp5::to_string(repro.config.engine));
@@ -217,8 +216,8 @@ Reproducer load_reproducer(const std::string& json_path) {
       static_cast<std::uint32_t>(scan_int(config_text, "pipelines"));
   repro.config.sharding =
       sharding_from_string(scan_string(config_text, "sharding"));
-  repro.config.threads =
-      static_cast<std::uint32_t>(scan_int(config_text, "threads"));
+  // "threads" (the deleted parallel lane engine) may still appear in
+  // older files; it never changed a result, so it is ignored.
   repro.config.fast_forward = scan_bool(config_text, "fast_forward");
   repro.config.reference_rebalance =
       scan_bool(config_text, "reference_rebalance");

@@ -17,18 +17,19 @@ namespace telemetry {
 class Telemetry;
 }
 
-/// Execution engine for the cycle loop (SimOptions::engine). Both engines
-/// produce bit-identical SimResult for every configuration, seed and fault
-/// plan — the fuzz matrix and the determinism suite enforce it.
+/// Cycle walk of the simulator (SimOptions::engine). Both walks produce
+/// bit-identical SimResult for every configuration, seed and fault plan —
+/// the fuzz matrix and the determinism suite enforce it.
 enum class SimEngine : std::uint8_t {
-  /// Dense walk: every (lane, stage) cell is visited every cycle.
+  /// Dense reference walk: every (lane, stage) cell is visited every
+  /// cycle. Kept as the reference the event walk is tested against.
   kLockstep = 0,
-  /// Event-driven conservative-lookahead walk: cells are visited only when
-  /// an activity bit says they might hold work, and stretches of cycles
-  /// where no cell can make progress are skipped arithmetically even under
-  /// a scheduled fault plan (the lockstep fast-forward only skips fully
-  /// idle, fault-free stretches). Cost per cycle is proportional to
-  /// occupied cells instead of k x stages.
+  /// Event-driven conservative-lookahead walk (the default): cells are
+  /// visited only when an activity bit says they might hold work, and
+  /// stretches of cycles where no cell can make progress are skipped
+  /// arithmetically even under a scheduled fault plan (the lockstep walk
+  /// only skips fully idle, fault-free stretches). Cost per cycle is
+  /// proportional to occupied cells instead of k x stages.
   kEvent = 1,
 };
 
@@ -156,31 +157,22 @@ struct SimOptions {
   /// Safety valve for runaway runs; tests assert it is never hit.
   std::uint64_t max_cycles = 5'000'000;
 
-  /// Cycle-loop engine. kLockstep is the classic dense per-cycle walk;
-  /// kEvent visits only cells whose activity bits are set and skips
-  /// no-progress cycle stretches arithmetically (works under fault plans,
-  /// unlike fast_forward). Results are bit-identical either way; the knob
-  /// is excluded from the checkpoint config fingerprint, so a checkpoint
-  /// taken under one engine restores under the other.
-  SimEngine engine = SimEngine::kLockstep;
+  /// Cycle walk. kEvent (the default) visits only cells whose activity
+  /// bits are set; kLockstep is the dense reference walk that visits every
+  /// cell every cycle. Results are bit-identical either way; the knob is
+  /// excluded from the checkpoint config fingerprint, so a checkpoint
+  /// taken under one walk restores under the other. The replicated
+  /// designs (kScr / kRelaxed) run their own walk and reject kLockstep.
+  SimEngine engine = SimEngine::kEvent;
 
-  /// Worker threads for the per-lane parallel engine. 1 (the default)
-  /// runs the classic sequential engine. N > 1 partitions the k lanes
-  /// into contiguous blocks stepped by a persistent worker pool with a
-  /// per-cycle barrier; cross-lane effects are staged per worker and
-  /// merged deterministically, so results are bit-identical to the
-  /// sequential engine for every seed and fault plan. Clamped to k.
-  /// Incompatible with `telemetry` and `timeline` (their event streams
-  /// are inherently ordered by the sequential walk).
-  std::uint32_t threads = 1;
-
-  /// Idle-cycle fast-forward: when no packet is anywhere in the switch
-  /// and no fault plan is scheduled, jump the clock straight to the next
-  /// event (trace arrival, phantom-channel delivery) instead of stepping
-  /// empty cycles one by one. Sparse traces then cost O(packets) instead
-  /// of O(cycles). Results — including SimResult::cycles_run — are
-  /// identical with the optimization on or off; disable only to measure
-  /// the raw cycle loop.
+  /// Idle-cycle fast-forward: when no packet is anywhere in the switch,
+  /// jump the clock straight to the next event (trace arrival,
+  /// phantom-channel delivery, fault boundary) instead of stepping empty
+  /// cycles one by one. Sparse traces then cost O(packets) instead of
+  /// O(cycles). The event walk skips under fault plans too; the lockstep
+  /// walk only when no fault plan is scheduled. Results — including
+  /// SimResult::cycles_run — are identical with the optimization on or
+  /// off, under either walk; disable only to measure the raw cycle loop.
   bool fast_forward = true;
 
   /// Route periodic rebalances through the full-scan reference

@@ -93,9 +93,9 @@ expect_failure("mp5sim zero staleness"
 expect_failure("mp5sim staleness under scr design"
                ${MP5SIM} --builtin figure3 --packets 200 --design scr
                --staleness 8)
-expect_failure("mp5sim threads under scr design"
+expect_failure("mp5sim lockstep engine under scr design"
                ${MP5SIM} --builtin figure3 --packets 200 --design scr
-               --threads 4)
+               --engine lockstep)
 expect_failure("mp5sim event engine under relaxed design"
                ${MP5SIM} --builtin figure3 --packets 200 --design relaxed
                --engine event)
@@ -153,9 +153,22 @@ expect_failure("mp5sim event engine under recirculation baseline"
 expect_success("mp5sim event engine control run"
                ${MP5SIM} --builtin figure3 --packets 400 --engine event
                --paranoid)
-expect_success("mp5sim event engine threaded fault run"
+expect_success("mp5sim event engine fault run"
                ${MP5SIM} --builtin figure3 --packets 400 --engine event
-               --threads 4 --fail-pipeline 1@50:300)
+               --fail-pipeline 1@50:300 --paranoid)
+expect_success("mp5sim lockstep reference walk control run"
+               ${MP5SIM} --builtin figure3 --packets 400 --engine lockstep
+               --paranoid)
+# The parallel lane engine is gone: its flag is an unknown option now.
+execute_process(COMMAND ${MP5SIM} --builtin figure3 --packets 200
+                --threads 2
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0 OR NOT rc MATCHES "^[0-9]+$")
+  message(FATAL_ERROR "mp5sim --threads: expected a nonzero exit, got ${rc}")
+endif()
+if(NOT err MATCHES "unknown option '--threads'")
+  message(FATAL_ERROR "mp5sim --threads: expected an unknown-option diagnostic, got '${err}'")
+endif()
 
 # -- mp5sim checkpoint/restore (ISSUE 6) --
 expect_failure("mp5sim checkpoint interval without out"
@@ -263,13 +276,4 @@ if(NOT rc EQUAL 0)
 endif()
 if(NOT err MATCHES "exceeds")
   message(FATAL_ERROR "mp5native oversubscribed run: expected a --cores warning on stderr, got '${err}'")
-endif()
-execute_process(COMMAND ${MP5SIM} --builtin figure3 --packets 200
-                --threads 256
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "mp5sim oversubscribed threads: expected exit 0, got ${rc}")
-endif()
-if(NOT err MATCHES "exceeds")
-  message(FATAL_ERROR "mp5sim oversubscribed threads: expected a --threads warning on stderr, got '${err}'")
 endif()

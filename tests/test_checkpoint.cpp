@@ -96,10 +96,10 @@ TEST(CheckpointFingerprint, CoversSemanticsNotEngineKnobs) {
   SimOptions base;
   const std::uint64_t fp = config_fingerprint(prog, base);
 
-  // Engine knobs are excluded by design: a checkpoint taken
-  // single-threaded restores into a 4-thread / no-fast-forward run.
+  // Engine knobs are excluded by design: a checkpoint taken under the
+  // event walk restores into a lockstep / no-fast-forward run.
   SimOptions engine = base;
-  engine.threads = 4;
+  engine.engine = SimEngine::kLockstep;
   engine.fast_forward = false;
   engine.reference_rebalance = true;
   engine.checkpoint_interval = 1000;
@@ -230,7 +230,7 @@ TEST(CheckpointRestore, CrossEngineRestore) {
   const Trace trace = test::trace_from_fields(
       test::random_fields(400, prog.pvsm.num_slots(), 64, rng), 4);
 
-  SimOptions opts; // threads=1, fast_forward=true
+  SimOptions opts; // event walk, fast_forward=true
   opts.record_egress = true;
   opts.paranoid_checks = true;
   const SimResult baseline = Mp5Simulator(prog, opts).run(trace);
@@ -245,25 +245,22 @@ TEST(CheckpointRestore, CrossEngineRestore) {
   (void)Mp5Simulator(prog, copts).run(trace);
   ASSERT_FALSE(blobs.empty());
 
-  // The fingerprint excludes engine knobs, so a single-threaded
-  // checkpoint restores under the parallel engine, with fast-forward
-  // off, and under the event-driven engine (which rebuilds its activity
-  // bitmap from the restored occupancy) — and still reproduces the
-  // sequential result bit-for-bit.
+  // The fingerprint excludes engine knobs, so an event-walk checkpoint
+  // restores with fast-forward off, with the reference rebalance, and
+  // under the lockstep reference walk (with and without fast-forward) —
+  // and still reproduces the uninterrupted result bit-for-bit.
   for (const char* variant :
-       {"threads4", "noff", "ref-rebalance", "event", "event-t4"}) {
+       {"noff", "ref-rebalance", "lockstep", "lockstep-noff"}) {
     SCOPED_TRACE(variant);
     SimOptions vopts = opts;
-    if (std::string(variant) == "threads4") vopts.threads = 4;
     if (std::string(variant) == "noff") vopts.fast_forward = false;
     if (std::string(variant) == "ref-rebalance") {
       vopts.reference_rebalance = true;
     }
-    if (std::string(variant) == "event") vopts.engine = SimEngine::kEvent;
-    if (std::string(variant) == "event-t4") {
-      vopts.engine = SimEngine::kEvent;
-      vopts.threads = 4;
+    if (std::string(variant).rfind("lockstep", 0) == 0) {
+      vopts.engine = SimEngine::kLockstep;
     }
+    if (std::string(variant) == "lockstep-noff") vopts.fast_forward = false;
     Mp5Simulator sim(prog, vopts);
     VectorTraceSource source(trace);
     const SimResult result = sim.resume(source, blobs.front());
@@ -271,22 +268,23 @@ TEST(CheckpointRestore, CrossEngineRestore) {
     EXPECT_TRUE(same_results(baseline, result, &why)) << why;
   }
 
-  // The reverse direction: a checkpoint captured mid-run by the event
-  // engine restores under plain lockstep.
-  std::vector<std::string> ev_blobs;
-  SimOptions ev_copts = opts;
-  ev_copts.engine = SimEngine::kEvent;
-  ev_copts.checkpoint_interval =
+  // The reverse direction: a checkpoint captured mid-run by the lockstep
+  // reference walk restores under the event walk (which rebuilds its
+  // activity bitmap from the restored occupancy).
+  std::vector<std::string> ls_blobs;
+  SimOptions ls_copts = opts;
+  ls_copts.engine = SimEngine::kLockstep;
+  ls_copts.checkpoint_interval =
       std::max<std::uint64_t>(1, baseline.cycles_run / 2);
-  ev_copts.checkpoint_sink = [&ev_blobs](Cycle, std::string&& blob) {
-    ev_blobs.push_back(std::move(blob));
+  ls_copts.checkpoint_sink = [&ls_blobs](Cycle, std::string&& blob) {
+    ls_blobs.push_back(std::move(blob));
   };
-  (void)Mp5Simulator(prog, ev_copts).run(trace);
-  ASSERT_FALSE(ev_blobs.empty());
+  (void)Mp5Simulator(prog, ls_copts).run(trace);
+  ASSERT_FALSE(ls_blobs.empty());
   {
-    Mp5Simulator sim(prog, opts); // lockstep
+    Mp5Simulator sim(prog, opts); // event walk
     VectorTraceSource source(trace);
-    const SimResult result = sim.resume(source, ev_blobs.front());
+    const SimResult result = sim.resume(source, ls_blobs.front());
     std::string why;
     EXPECT_TRUE(same_results(baseline, result, &why)) << why;
   }

@@ -313,6 +313,27 @@ TEST(Fabric, SameSeedSameResultEveryLbMode) {
   }
 }
 
+TEST(Fabric, EventWalkMatchesLockstepReference) {
+  // Inner switches run the event walk by default; the lockstep reference
+  // walk must give the same fabric result bit for bit, faults included.
+  EXPECT_EQ(FabricOptions{}.engine, SimEngine::kEvent);
+  for (const LbMode lb :
+       {LbMode::kEcmp, LbMode::kWcmp, LbMode::kFlowlet, LbMode::kConga}) {
+    FabricOptions opts = small_options(lb);
+    FabricFaultEvent ev;
+    ev.kind = FabricFaultEvent::Kind::kKillSwitch;
+    ev.target = opts.topology.spine_id(1);
+    ev.cycle = 400;
+    opts.faults.events.push_back(ev);
+    const FabricResult event = FabricSimulator(opts).run();
+    opts.engine = SimEngine::kLockstep;
+    const FabricResult lockstep = FabricSimulator(opts).run();
+    std::string why;
+    EXPECT_TRUE(same_fabric_results(lockstep, event, &why))
+        << lb_mode_name(lb) << ": " << why;
+  }
+}
+
 TEST(Fabric, DifferentSeedsDiffer) {
   const FabricResult a = FabricSimulator(small_options(LbMode::kConga, 7)).run();
   const FabricResult b = FabricSimulator(small_options(LbMode::kConga, 8)).run();

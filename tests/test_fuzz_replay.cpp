@@ -121,6 +121,40 @@ TEST(ReproCompat, PreVariantReproLoadsAsMp5) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ReproCompat, ThreadsKeyFromOlderFilesIsIgnored) {
+  // Files written while the parallel lane engine existed carry a
+  // "threads" key. The engine is gone and never changed a result, so the
+  // key is ignored: a committed entry rewritten to "threads": 4 still
+  // replays with its committed verdict, and new files no longer write it.
+  const std::filesystem::path corpus(MP5_CORPUS_DIR);
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mp5-repro-compat-threads";
+  std::filesystem::create_directories(dir);
+  for (const char* file :
+       {"pass-sharded-counter.dom", "pass-sharded-counter.trace.csv"}) {
+    std::filesystem::copy_file(
+        corpus / file, dir / file,
+        std::filesystem::copy_options::overwrite_existing);
+  }
+  std::string text = slurp((corpus / "pass-sharded-counter.json").string());
+  const std::string key = "\"threads\": 1";
+  const std::size_t pos = text.find(key);
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, key.size(), "\"threads\": 4");
+  const std::string path = (dir / "pass-sharded-counter.json").string();
+  std::ofstream(path) << text;
+
+  const fuzz::Reproducer repro = fuzz::load_reproducer(path);
+  EXPECT_EQ(repro.kind, fuzz::FailureKind::kNone);
+  const fuzz::Failure observed = fuzz::replay(repro);
+  EXPECT_EQ(observed.kind, repro.kind) << observed.detail;
+
+  const std::string resaved = (dir / "resaved.json").string();
+  fuzz::save_reproducer(repro, resaved);
+  EXPECT_EQ(slurp(resaved).find("\"threads\""), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ReproCompat, UnknownVariantNameIsRejected) {
   const auto dir =
       std::filesystem::temp_directory_path() / "mp5-repro-compat-bad";

@@ -1,10 +1,10 @@
-// Tests for the hot-path engine work: the packet arena, idle-cycle
-// fast-forward, and the opt-in parallel per-lane engine.
+// Tests for the hot-path engine work: the packet arena, the event walk,
+// idle-cycle fast-forward and incremental D2 accounting.
 //
 // The contract under test is strict bit-identity: for every seed, design
-// variant and fault plan, the parallel engine (any thread count) and the
+// variant and fault plan, the event walk (the default) and the
 // fast-forward optimization must produce a SimResult indistinguishable
-// field-by-field from the classic sequential cycle-by-cycle walk.
+// field-by-field from the lockstep reference walk stepping every cycle.
 #include <gtest/gtest.h>
 
 #include "apps/programs.hpp"
@@ -77,131 +77,30 @@ const Variant kVariants[] = {
     {"no_d4", no_d4_options},   {"ideal", ideal_options},
 };
 
-// --- parallel engine: bit-identity with the sequential engine ------------
-
-TEST(ParallelEngine, MatchesSequentialAcrossSeedsKsAndVariants) {
-  const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
-  for (const std::uint32_t k : {2u, 4u, 8u}) {
-    SyntheticConfig config;
-    config.stateful_stages = 4;
-    config.reg_size = 256;
-    config.pipelines = k;
-    config.packets = 2000;
-    for (const std::uint64_t seed : {1ull, 7ull}) {
-      config.seed = seed;
-      const auto trace = make_synthetic_trace(config);
-      for (const auto& variant : kVariants) {
-        SCOPED_TRACE(std::string(variant.name) + " k=" + std::to_string(k) +
-                     " seed=" + std::to_string(seed));
-        auto opts = variant.make(k, seed);
-        const auto sequential = run_with(prog, trace, opts);
-        for (const std::uint32_t threads : {2u, 4u}) {
-          opts.threads = threads;
-          SCOPED_TRACE("threads=" + std::to_string(threads));
-          expect_identical(sequential, run_with(prog, trace, opts));
-        }
-      }
-    }
+/// A VectorTraceSource that counts peek() calls. The run loop peeks the
+/// source at least once per stepped cycle, so a run that steps every cycle
+/// peeks at least cycles_run times, and one that skips peeks far fewer.
+class PeekCountingSource final : public TraceSource {
+public:
+  explicit PeekCountingSource(const Trace& trace) : inner_(trace) {}
+  const TraceItem* peek() override {
+    ++peeks_;
+    return inner_.peek();
   }
-}
+  void advance() override { inner_.advance(); }
+  std::uint64_t consumed() const override { return inner_.consumed(); }
+  void skip_to(std::uint64_t n) override { inner_.skip_to(n); }
+  std::optional<std::uint64_t> size() const override { return inner_.size(); }
+  std::uint64_t peeks() const { return peeks_; }
 
-TEST(ParallelEngine, MatchesSequentialUnderLaneFailureAndRecovery) {
-  const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
-  SyntheticConfig config;
-  config.stateful_stages = 4;
-  config.reg_size = 256;
-  config.pipelines = 8;
-  config.packets = 3000;
-  const auto trace = make_synthetic_trace(config);
+private:
+  VectorTraceSource inner_;
+  std::uint64_t peeks_ = 0;
+};
 
-  auto opts = mp5_options(8, 1);
-  opts.faults.pipeline_faults.push_back(PipelineFault{2, 150, 600});
-  opts.faults.pipeline_faults.push_back(PipelineFault{5, 300, kNeverRecovers});
-  const auto sequential = run_with(prog, trace, opts);
-  EXPECT_GT(sequential.dropped_fault, 0u); // the plan actually bites
-  for (const std::uint32_t threads : {2u, 4u, 8u}) {
-    opts.threads = threads;
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_identical(sequential, run_with(prog, trace, opts));
-  }
-}
+const SimEngine kWalks[] = {SimEngine::kEvent, SimEngine::kLockstep};
 
-TEST(ParallelEngine, MatchesSequentialUnderPhantomChannelFaults) {
-  const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
-  SyntheticConfig config;
-  config.stateful_stages = 4;
-  config.reg_size = 256;
-  config.pipelines = 4;
-  config.packets = 3000;
-  const auto trace = make_synthetic_trace(config);
-
-  auto opts = mp5_options(4, 3);
-  opts.realistic_phantom_channel = true;
-  opts.faults.phantom_loss_rate = 0.02;
-  opts.faults.phantom_delay_rate = 0.05;
-  opts.faults.phantom_extra_delay = 12;
-  const auto sequential = run_with(prog, trace, opts);
-  EXPECT_GT(sequential.phantom_lost + sequential.phantom_delayed, 0u);
-  for (const std::uint32_t threads : {2u, 4u}) {
-    opts.threads = threads;
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_identical(sequential, run_with(prog, trace, opts));
-  }
-}
-
-TEST(ParallelEngine, MatchesSequentialUnderStallsAndPressure) {
-  const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
-  SyntheticConfig config;
-  config.stateful_stages = 4;
-  config.reg_size = 256;
-  config.pipelines = 4;
-  config.packets = 3000;
-  const auto trace = make_synthetic_trace(config);
-
-  auto opts = mp5_options(4, 5);
-  opts.faults.stalls.push_back(StageStall{1, 2, 100, 180});
-  opts.faults.stalls.push_back(StageStall{3, 1, 400, 450});
-  opts.faults.fifo_pressure.push_back(FifoPressure{200, 260, 1});
-  const auto sequential = run_with(prog, trace, opts);
-  EXPECT_GT(sequential.stalled_cycles, 0u);
-  for (const std::uint32_t threads : {2u, 4u}) {
-    opts.threads = threads;
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_identical(sequential, run_with(prog, trace, opts));
-  }
-}
-
-TEST(ParallelEngine, ThreadCountAboveKIsClamped) {
-  const auto prog = compile_mp5(apps::make_synthetic_source(2, 64));
-  SyntheticConfig config;
-  config.stateful_stages = 2;
-  config.reg_size = 64;
-  config.pipelines = 2;
-  config.packets = 500;
-  const auto trace = make_synthetic_trace(config);
-  auto opts = mp5_options(2, 1);
-  const auto sequential = run_with(prog, trace, opts);
-  opts.threads = 16; // clamps to k = 2
-  expect_identical(sequential, run_with(prog, trace, opts));
-}
-
-TEST(ParallelEngine, RejectsTelemetryAndZeroThreads) {
-  const auto prog = compile_mp5(apps::make_synthetic_source(1, 8));
-  auto opts = mp5_options(2, 1);
-  opts.threads = 0;
-  EXPECT_THROW(Mp5Simulator(prog, opts), ConfigError);
-
-  opts.threads = 2;
-  telemetry::Telemetry telem;
-  opts.telemetry = &telem;
-  EXPECT_THROW(Mp5Simulator(prog, opts), ConfigError);
-
-  opts.telemetry = nullptr;
-  opts.timeline = [](const TimelineEvent&) {};
-  EXPECT_THROW(Mp5Simulator(prog, opts), ConfigError);
-}
-
-// --- event engine: bit-identity with the sequential lockstep walk --------
+// --- event walk: bit-identity with the lockstep reference walk -----------
 
 TEST(EventEngine, MatchesLockstepAcrossSeedsKsAndVariants) {
   const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
@@ -218,13 +117,10 @@ TEST(EventEngine, MatchesLockstepAcrossSeedsKsAndVariants) {
         SCOPED_TRACE(std::string(variant.name) + " k=" + std::to_string(k) +
                      " seed=" + std::to_string(seed));
         auto opts = variant.make(k, seed);
+        opts.engine = SimEngine::kLockstep;
         const auto lockstep = run_with(prog, trace, opts);
         opts.engine = SimEngine::kEvent;
-        for (const std::uint32_t threads : {1u, 2u, 4u}) {
-          opts.threads = threads;
-          SCOPED_TRACE("event threads=" + std::to_string(threads));
-          expect_identical(lockstep, run_with(prog, trace, opts));
-        }
+        expect_identical(lockstep, run_with(prog, trace, opts));
       }
     }
   }
@@ -244,12 +140,13 @@ TEST(EventEngine, MatchesLockstepOnSparseTraces) {
   const auto trace = make_synthetic_trace(config);
 
   auto opts = mp5_options(8, 1);
+  opts.engine = SimEngine::kLockstep;
   opts.fast_forward = false; // the raw cycle-by-cycle reference walk
   const auto lockstep = run_with(prog, trace, opts);
   EXPECT_GT(lockstep.cycles_run, 4000u);
   opts.engine = SimEngine::kEvent;
   expect_identical(lockstep, run_with(prog, trace, opts));
-  opts.threads = 4;
+  opts.fast_forward = true;
   expect_identical(lockstep, run_with(prog, trace, opts));
 }
 
@@ -263,16 +160,13 @@ TEST(EventEngine, MatchesLockstepUnderLaneFailureAndRecovery) {
   const auto trace = make_synthetic_trace(config);
 
   auto opts = mp5_options(8, 1);
+  opts.engine = SimEngine::kLockstep;
   opts.faults.pipeline_faults.push_back(PipelineFault{2, 150, 600});
   opts.faults.pipeline_faults.push_back(PipelineFault{5, 300, kNeverRecovers});
   const auto lockstep = run_with(prog, trace, opts);
   EXPECT_GT(lockstep.dropped_fault, 0u); // the plan actually bites
   opts.engine = SimEngine::kEvent;
-  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    opts.threads = threads;
-    SCOPED_TRACE("event threads=" + std::to_string(threads));
-    expect_identical(lockstep, run_with(prog, trace, opts));
-  }
+  expect_identical(lockstep, run_with(prog, trace, opts));
 }
 
 TEST(EventEngine, MatchesLockstepUnderPhantomChannelFaults) {
@@ -285,6 +179,7 @@ TEST(EventEngine, MatchesLockstepUnderPhantomChannelFaults) {
   const auto trace = make_synthetic_trace(config);
 
   auto opts = mp5_options(4, 3);
+  opts.engine = SimEngine::kLockstep;
   opts.realistic_phantom_channel = true;
   opts.faults.phantom_loss_rate = 0.02;
   opts.faults.phantom_delay_rate = 0.05;
@@ -292,11 +187,7 @@ TEST(EventEngine, MatchesLockstepUnderPhantomChannelFaults) {
   const auto lockstep = run_with(prog, trace, opts);
   EXPECT_GT(lockstep.phantom_lost + lockstep.phantom_delayed, 0u);
   opts.engine = SimEngine::kEvent;
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    opts.threads = threads;
-    SCOPED_TRACE("event threads=" + std::to_string(threads));
-    expect_identical(lockstep, run_with(prog, trace, opts));
-  }
+  expect_identical(lockstep, run_with(prog, trace, opts));
 }
 
 TEST(EventEngine, MatchesLockstepUnderStallsAndPressure) {
@@ -313,17 +204,14 @@ TEST(EventEngine, MatchesLockstepUnderStallsAndPressure) {
   const auto trace = make_synthetic_trace(config);
 
   auto opts = mp5_options(4, 5);
+  opts.engine = SimEngine::kLockstep;
   opts.faults.stalls.push_back(StageStall{1, 2, 100, 180});
   opts.faults.stalls.push_back(StageStall{3, 1, 400, 450});
   opts.faults.fifo_pressure.push_back(FifoPressure{200, 260, 1});
   const auto lockstep = run_with(prog, trace, opts);
   EXPECT_GT(lockstep.stalled_cycles, 0u);
   opts.engine = SimEngine::kEvent;
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    opts.threads = threads;
-    SCOPED_TRACE("event threads=" + std::to_string(threads));
-    expect_identical(lockstep, run_with(prog, trace, opts));
-  }
+  expect_identical(lockstep, run_with(prog, trace, opts));
 }
 
 TEST(EventEngine, SkipsUnderFaultPlansWhereLockstepCannot) {
@@ -341,6 +229,7 @@ TEST(EventEngine, SkipsUnderFaultPlansWhereLockstepCannot) {
   const auto trace = make_synthetic_trace(config);
 
   auto opts = mp5_options(4, 11);
+  opts.engine = SimEngine::kLockstep;
   opts.faults.stalls.push_back(StageStall{1, 1, 500, 9000});
   opts.faults.pipeline_faults.push_back(PipelineFault{2, 4000, 12000});
   const auto lockstep = run_with(prog, trace, opts);
@@ -348,14 +237,11 @@ TEST(EventEngine, SkipsUnderFaultPlansWhereLockstepCannot) {
   EXPECT_EQ(lockstep.pipeline_failures, 1u);
   opts.engine = SimEngine::kEvent;
   expect_identical(lockstep, run_with(prog, trace, opts));
-  opts.threads = 4;
-  expect_identical(lockstep, run_with(prog, trace, opts));
 }
 
 TEST(EventEngine, IdenticalTelemetryAndTimeline) {
-  // threads == 1 allows telemetry/timeline under both engines; the event
-  // walk visits exactly the cells that do something, so the event stream
-  // and every counter must match the lockstep run's.
+  // The event walk visits exactly the cells that do something, so the
+  // event stream and every counter must match the lockstep run's.
   const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
   SyntheticConfig config;
   config.stateful_stages = 3;
@@ -429,7 +315,8 @@ TEST(EventEngine, ParanoidChecksValidateActivityBitmap) {
   auto opts = mp5_options(4, 4);
   opts.engine = SimEngine::kEvent;
   opts.paranoid_checks = true; // the watchdog cross-checks bit vs occupancy
-  const auto lockstep_opts = mp5_options(4, 4);
+  auto lockstep_opts = mp5_options(4, 4);
+  lockstep_opts.engine = SimEngine::kLockstep;
   expect_identical(run_with(prog, trace, lockstep_opts),
                    run_with(prog, trace, opts));
 }
@@ -440,6 +327,14 @@ TEST(EventEngine, EngineStringRoundTrip) {
   EXPECT_STREQ(to_string(SimEngine::kLockstep), "lockstep");
   EXPECT_STREQ(to_string(SimEngine::kEvent), "event");
   EXPECT_THROW(engine_from_string("warp"), ConfigError);
+}
+
+TEST(EventEngine, IsTheDefaultWalk) {
+  EXPECT_EQ(SimOptions{}.engine, SimEngine::kEvent);
+  for (const auto& variant : kVariants) {
+    SCOPED_TRACE(variant.name);
+    EXPECT_EQ(variant.make(4, 1).engine, SimEngine::kEvent);
+  }
 }
 
 // --- idle-cycle fast-forward ---------------------------------------------
@@ -454,13 +349,80 @@ TEST(FastForward, IdenticalResultsOnSparseTrace) {
   config.load = 0.01; // ~100 idle cycles between packets
   const auto trace = make_synthetic_trace(config);
 
-  auto opts = mp5_options(4, 1);
-  opts.fast_forward = false;
-  const auto slow = run_with(prog, trace, opts);
-  opts.fast_forward = true;
-  const auto fast = run_with(prog, trace, opts);
-  expect_identical(slow, fast);
-  EXPECT_GT(slow.cycles_run, 5000u); // the sparse trace really is sparse
+  for (const SimEngine walk : kWalks) {
+    SCOPED_TRACE(to_string(walk));
+    auto opts = mp5_options(4, 1);
+    opts.engine = walk;
+    opts.fast_forward = false;
+    const auto slow = run_with(prog, trace, opts);
+    opts.fast_forward = true;
+    const auto fast = run_with(prog, trace, opts);
+    expect_identical(slow, fast);
+    EXPECT_GT(slow.cycles_run, 5000u); // the sparse trace really is sparse
+  }
+}
+
+TEST(FastForward, DisablingItStepsEveryCycleUnderEitherWalk) {
+  // fast_forward = false must step every cycle under both walks (the
+  // run loop peeks the source at least once per stepped cycle), and
+  // fast_forward = true must skip under both.
+  const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
+  SyntheticConfig config;
+  config.stateful_stages = 3;
+  config.reg_size = 128;
+  config.pipelines = 4;
+  config.packets = 300;
+  config.load = 0.005;
+  const auto trace = make_synthetic_trace(config);
+
+  for (const SimEngine walk : kWalks) {
+    SCOPED_TRACE(to_string(walk));
+    auto opts = mp5_options(4, 3);
+    opts.engine = walk;
+    for (const bool ff : {false, true}) {
+      SCOPED_TRACE(ff ? "fast_forward on" : "fast_forward off");
+      opts.fast_forward = ff;
+      Mp5Simulator sim(prog, opts);
+      PeekCountingSource source(trace);
+      const SimResult result = sim.run(source);
+      EXPECT_GT(result.cycles_run, 10000u);
+      if (ff) {
+        EXPECT_LT(source.peeks(), result.cycles_run / 4);
+      } else {
+        EXPECT_GE(source.peeks(), result.cycles_run);
+      }
+    }
+  }
+}
+
+TEST(FastForward, IdenticalUnderFaultPlan) {
+  // A stage stall plus a lane fail/recover over a sparse trace: the event
+  // walk skips between the fault boundaries, lockstep does not skip at
+  // all. Skip on versus skip off must be bit-identical under both walks,
+  // cycles_run and stalled_cycles included.
+  const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
+  SyntheticConfig config;
+  config.stateful_stages = 3;
+  config.reg_size = 128;
+  config.pipelines = 4;
+  config.packets = 300;
+  config.load = 0.01;
+  const auto trace = make_synthetic_trace(config);
+
+  for (const SimEngine walk : kWalks) {
+    SCOPED_TRACE(to_string(walk));
+    auto opts = mp5_options(4, 8);
+    opts.engine = walk;
+    opts.faults.stalls.push_back(StageStall{1, 2, 700, 4000});
+    opts.faults.pipeline_faults.push_back(PipelineFault{3, 2500, 5000});
+    opts.fast_forward = false;
+    const auto slow = run_with(prog, trace, opts);
+    EXPECT_GT(slow.stalled_cycles, 1000u);
+    EXPECT_EQ(slow.pipeline_failures, 1u);
+    EXPECT_EQ(slow.pipeline_recoveries, 1u);
+    opts.fast_forward = true;
+    expect_identical(slow, run_with(prog, trace, opts));
+  }
 }
 
 TEST(FastForward, IdenticalUnderRealisticChannelAndRemap) {
@@ -475,33 +437,18 @@ TEST(FastForward, IdenticalUnderRealisticChannelAndRemap) {
   config.load = 0.02;
   const auto trace = make_synthetic_trace(config);
 
-  for (const auto& variant : kVariants) {
-    SCOPED_TRACE(variant.name);
-    auto opts = variant.make(4, 2);
-    opts.realistic_phantom_channel = opts.phantoms;
-    opts.fast_forward = false;
-    const auto slow = run_with(prog, trace, opts);
-    opts.fast_forward = true;
-    expect_identical(slow, run_with(prog, trace, opts));
+  for (const SimEngine walk : kWalks) {
+    for (const auto& variant : kVariants) {
+      SCOPED_TRACE(std::string(variant.name) + " " + to_string(walk));
+      auto opts = variant.make(4, 2);
+      opts.engine = walk;
+      opts.realistic_phantom_channel = opts.phantoms;
+      opts.fast_forward = false;
+      const auto slow = run_with(prog, trace, opts);
+      opts.fast_forward = true;
+      expect_identical(slow, run_with(prog, trace, opts));
+    }
   }
-}
-
-TEST(FastForward, ComposesWithParallelEngine) {
-  const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
-  SyntheticConfig config;
-  config.stateful_stages = 4;
-  config.reg_size = 256;
-  config.pipelines = 8;
-  config.packets = 500;
-  config.load = 0.05;
-  const auto trace = make_synthetic_trace(config);
-
-  auto opts = mp5_options(8, 9);
-  opts.fast_forward = false;
-  const auto slow = run_with(prog, trace, opts);
-  opts.fast_forward = true;
-  opts.threads = 4;
-  expect_identical(slow, run_with(prog, trace, opts));
 }
 
 // --- incremental D2 accounting -------------------------------------------
@@ -567,20 +514,23 @@ TEST(FastForward, SkipsEmptyWindowRemapBoundariesBitIdentically) {
                        // periods pass with nothing touched
   const auto trace = make_synthetic_trace(config);
 
-  for (const auto& variant : kVariants) {
-    SCOPED_TRACE(variant.name);
-    auto opts = variant.make(4, 2);
-    opts.fast_forward = false;
-    opts.reference_rebalance = true;
-    const auto slow_reference = run_with(prog, trace, opts);
-    // The trace spans several remap periods, so empty-window boundaries
-    // really occur between the sparse arrivals.
-    EXPECT_GT(slow_reference.cycles_run, 10 * opts.remap_period);
-    opts.reference_rebalance = false;
-    const auto slow = run_with(prog, trace, opts);
-    expect_identical(slow_reference, slow);
-    opts.fast_forward = true;
-    expect_identical(slow, run_with(prog, trace, opts));
+  for (const SimEngine walk : kWalks) {
+    for (const auto& variant : kVariants) {
+      SCOPED_TRACE(std::string(variant.name) + " " + to_string(walk));
+      auto opts = variant.make(4, 2);
+      opts.engine = walk;
+      opts.fast_forward = false;
+      opts.reference_rebalance = true;
+      const auto slow_reference = run_with(prog, trace, opts);
+      // The trace spans several remap periods, so empty-window boundaries
+      // really occur between the sparse arrivals.
+      EXPECT_GT(slow_reference.cycles_run, 10 * opts.remap_period);
+      opts.reference_rebalance = false;
+      const auto slow = run_with(prog, trace, opts);
+      expect_identical(slow_reference, slow);
+      opts.fast_forward = true;
+      expect_identical(slow, run_with(prog, trace, opts));
+    }
   }
 }
 

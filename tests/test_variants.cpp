@@ -80,8 +80,7 @@ struct KnobCase {
 const std::vector<KnobCase>& mp5_only_knobs() {
   static telemetry::Telemetry telem;
   static const std::vector<KnobCase> cases = {
-      {"threads", [](SimOptions& o) { o.threads = 4; }},
-      {"engine", [](SimOptions& o) { o.engine = SimEngine::kEvent; }},
+      {"engine", [](SimOptions& o) { o.engine = SimEngine::kLockstep; }},
       {"sharding",
        [](SimOptions& o) { o.sharding = ShardingPolicy::kStaticRandom; }},
       {"reference_rebalance",
@@ -170,9 +169,6 @@ TEST(VariantValidation, SimulatorsRejectMismatchedVariants) {
 TEST(VariantValidation, GenericBoundsStillChecked) {
   const Mp5Program prog = compile_mp5(kCounter);
   SimOptions opts = scr_options(0, 1);
-  EXPECT_THROW(run_variant(prog, {}, opts), ConfigError);
-  opts = scr_options(4, 1);
-  opts.threads = 0;
   EXPECT_THROW(run_variant(prog, {}, opts), ConfigError);
   opts = scr_options(4, 1);
   opts.checkpoint_interval = 100; // no sink

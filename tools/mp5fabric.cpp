@@ -23,7 +23,8 @@
 //   --packet-bytes B
 // Per-switch MP5 knobs:
 //   --pipelines K  --fifo-capacity N  --remap N  --paranoid
-//   --engine lockstep|event  inner-switch cycle-walk engine
+//   --engine event|lockstep  inner-switch cycle walk (default event;
+//                            lockstep is the dense reference walk)
 // Run control:
 //   --seed S  --max-cycles N  --util-window W
 // Fault plan (repeatable; switch names are leaf<i>/spine<i>):

@@ -20,14 +20,11 @@
 //                           every other design
 //   --pipelines K  --packets N  --seed S  --load F
 //   --fifo-capacity N  --remap N  --flow-order f1,f2
-//   --threads N             parallel per-lane engine (bit-identical to
-//                           sequential; MP5 designs only; incompatible
-//                           with --telemetry/--timeline/--trace-out)
 //   --no-fast-forward       step idle cycles one by one (identical
 //                           results; for measuring the raw cycle loop)
-//   --engine lockstep|event cycle-walk engine (MP5 designs only; the
-//                           event engine skips idle cells/cycles and is
-//                           bit-identical to lockstep)
+//   --engine event|lockstep cycle walk (MP5 designs only; default event,
+//                           which visits only occupied cells; lockstep is
+//                           the dense reference walk, bit-identical)
 //   --check-equivalence     verify vs the single-pipeline reference
 //   --save-trace file.csv   store the generated trace
 // Checkpoint/restore (MP5 and replicated designs; see DESIGN.md "Soak &
@@ -68,6 +65,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "apps/programs.hpp"
@@ -84,7 +82,6 @@
 #include "mp5/checkpoint.hpp"
 #include "mp5/simulator.hpp"
 #include "mp5/transform.hpp"
-#include "native/cpus.hpp"
 #include "trace/trace_source.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/results.hpp"
@@ -111,9 +108,8 @@ struct Args {
   double load = 1.0;
   std::size_t fifo_capacity = 0;
   std::uint32_t remap = 100;
-  std::uint32_t threads = 1;
   bool fast_forward = true;
-  SimEngine engine = SimEngine::kLockstep;
+  std::optional<SimEngine> engine; // unset = the design's default walk
   std::vector<std::string> flow_order_fields;
   bool check_equivalence = false;
   std::uint64_t timeline = 0; // print the first N simulator events
@@ -188,8 +184,6 @@ Args parse_args(int argc, char** argv) {
     else if (arg == "--fifo-capacity") args.fifo_capacity = std::stoull(next());
     else if (arg == "--remap") args.remap =
         static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--threads") args.threads =
-        static_cast<std::uint32_t>(std::stoul(next()));
     else if (arg == "--no-fast-forward") args.fast_forward = false;
     else if (arg == "--engine") args.engine = engine_from_string(next());
     else if (arg == "--flow-order") args.flow_order_fields = split_csv(next());
@@ -254,15 +248,6 @@ void validate_checkpoint_args(const Args& args) {
 int run(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   validate_checkpoint_args(args);
-
-  if (const std::uint32_t cpus = native::usable_cpus();
-      args.threads > cpus) {
-    std::cerr << "mp5sim: warning: --threads " << args.threads
-              << " exceeds the " << cpus
-              << " CPU(s) this process may use; lanes will time-share "
-                 "cores (results stay bit-identical, wall-clock speedups "
-                 "will not materialize)\n";
-  }
 
   // Resolve the program.
   std::string source = args.source;
@@ -338,12 +323,12 @@ int run(int argc, char** argv) {
   SimResult result;
   std::unique_ptr<telemetry::Telemetry> telem;
   if (args.design == "recirc") {
-    if (!args.faults.empty() || args.paranoid || args.threads > 1) {
+    if (!args.faults.empty() || args.paranoid) {
       throw ConfigError(
-          "fault injection / --paranoid / --threads apply to the MP5 "
-          "designs only, not recirc");
+          "fault injection / --paranoid apply to the MP5 designs only, not "
+          "recirc");
     }
-    if (args.engine != SimEngine::kLockstep) {
+    if (args.engine.has_value()) {
       throw ConfigError(
           "--engine applies to the MP5 designs only, not recirc");
     }
@@ -405,9 +390,14 @@ int run(int argc, char** argv) {
     if (args.staleness != 0) opts.staleness_bound = args.staleness;
     opts.fifo_capacity = args.fifo_capacity;
     opts.remap_period = args.remap;
-    opts.threads = args.threads;
     opts.fast_forward = args.fast_forward;
-    opts.engine = args.engine;
+    if (args.engine.has_value()) {
+      if (opts.variant != DesignVariant::kMp5) {
+        throw ConfigError("--engine applies to the MP5 designs only, not " +
+                          args.design);
+      }
+      opts.engine = *args.engine;
+    }
     opts.record_egress = args.check_equivalence;
     opts.faults = args.faults;
     if (args.phantom_channel) opts.realistic_phantom_channel = true;

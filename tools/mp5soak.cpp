@@ -25,8 +25,9 @@
 //                       switch can keep up)
 //   --flows N --field-bound B --seed S
 // Simulator:
-//   --pipelines K --fifo-capacity N --remap N --threads N --paranoid
-//   --engine lockstep|event  cycle-walk engine (bit-identical results)
+//   --pipelines K --fifo-capacity N --remap N --paranoid
+//   --engine event|lockstep  cycle walk (default event; lockstep is the
+//                       dense reference walk, bit-identical results)
 //   --max-cycles N      override the derived safety ceiling
 //   --fail-pipeline P@CYCLE[:RECOVER]   fault plan entry (repeatable)
 // Soak mode:
@@ -127,8 +128,6 @@ Args parse_args(int argc, char** argv) {
       args.soak.sim.fifo_capacity = std::stoull(next());
     else if (arg == "--remap")
       args.soak.sim.remap_period = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--threads")
-      args.soak.sim.threads = static_cast<std::uint32_t>(std::stoul(next()));
     else if (arg == "--engine")
       args.soak.sim.engine = engine_from_string(next());
     else if (arg == "--paranoid") args.soak.sim.paranoid_checks = true;

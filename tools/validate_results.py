@@ -247,9 +247,13 @@ def validate_repro(doc, where):
         fail(f"{where}: trace '{trace}' must end in .trace.csv")
     config = require(doc, "config", dict, where)
     cwhere = f"{where}.config"
-    for key in ("pipelines", "threads", "remap_period"):
+    for key in ("pipelines", "remap_period"):
         if require(config, key, int, cwhere) < 1:
             fail(f"{cwhere}: {key} must be >= 1")
+    # Written only by older files (the parallel lane engine); ignored on
+    # replay, but still type-checked where present.
+    if "threads" in config and require(config, "threads", int, cwhere) < 1:
+        fail(f"{cwhere}: threads must be >= 1")
     sharding = require(config, "sharding", str, cwhere)
     if sharding not in FUZZ_SHARDING:
         fail(f"{cwhere}: sharding '{sharding}' not in {sorted(FUZZ_SHARDING)}")
