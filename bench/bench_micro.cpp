@@ -113,12 +113,11 @@ BENCHMARK(BM_SimulatorCyclesPerSecond)->Arg(2)->Arg(4)->Arg(8);
 
 /// The event-engine headline scenario: sparse traffic (~0.2% of line
 /// rate, well under 1% cell occupancy) under a live maintenance fault
-/// plan — one transient stage stall plus one lane fail/recover. Any fault
-/// plan pins lockstep to the cycle-by-cycle walk (fast-forward is
-/// unsound against wall-clock-scheduled faults), scanning k × stages
-/// cells every cycle; the event engine visits only occupied cells and
-/// still skips drained cycle ranges, clamping at the fault boundaries.
-/// Args: {k, engine (0 = lockstep, 1 = event)}.
+/// plan — one transient stage stall plus one lane fail/recover. The dense
+/// reference never skips a cycle and scans k × stages cells on every one;
+/// the event walk visits only occupied cells and skips drained cycle
+/// ranges, clamping at the fault boundaries.
+/// Args: {k, walk (0 = dense reference, 1 = event)}.
 void BM_SimulatorSparse(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   const bool event = state.range(1) != 0;

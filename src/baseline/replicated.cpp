@@ -56,7 +56,7 @@ void validate_replicated(const SimOptions& o) {
   if (o.engine != SimEngine::kEvent) {
     throw ConfigError("SimOptions: " + v +
                       " runs its own dense cycle walk; the engine knob "
-                      "(lockstep reference walk) applies to variant 'mp5' "
+                      "(dense reference walk) applies to variant 'mp5' "
                       "only (leave the default)");
   }
   if (o.sharding != ShardingPolicy::kDynamic) {
@@ -64,11 +64,6 @@ void validate_replicated(const SimOptions& o) {
                       " replicates every register on every pipeline; the "
                       "sharding knob applies to variant 'mp5' only (leave "
                       "the kDynamic default)");
-  }
-  if (o.reference_rebalance) {
-    throw ConfigError("SimOptions: " + v +
-                      " performs no rebalancing; the reference_rebalance "
-                      "knob applies to variant 'mp5' only");
   }
   if (!o.phantoms) {
     throw ConfigError("SimOptions: " + v +

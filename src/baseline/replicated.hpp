@@ -27,8 +27,8 @@
 // or divergent per variant (src/fuzz/differ.hpp) and shrinks the
 // divergent-where-MP5-isn't cases into committed witnesses.
 //
-// Both simulators take the common SimOptions. MP5-only knobs (the
-// lockstep engine, sharding, phantoms, faults, telemetry, ...) are rejected
+// Both simulators take the common SimOptions. MP5-only knobs (the dense
+// reference engine, sharding, phantoms, faults, telemetry, ...) are rejected
 // at construction with a ConfigError naming the variant and the knob —
 // never silently ignored (the ISSUE 10 validation sweep). Supported:
 // fast_forward (bit-identical including cycles_run), record_egress,

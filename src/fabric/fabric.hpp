@@ -93,7 +93,8 @@ struct FabricOptions {
   /// Cycle walk of every inner switch simulator. Fabrics clock their
   /// switches externally, so the event walk's (default) win here is the
   /// per-cycle walk cost, not whole-run cycle skipping. kLockstep selects
-  /// the dense reference walk.
+  /// the dense reference, for tests that compare against it; no CLI flag
+  /// exposes it.
   SimEngine engine = SimEngine::kEvent;
 
   std::uint64_t seed = 1;

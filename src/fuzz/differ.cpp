@@ -94,10 +94,12 @@ std::string SimConfig::name() const {
     if (checkpoint_restore) os << "-ckpt";
     return os.str();
   }
-  os << "k" << pipelines << "-" << fuzz::to_string(sharding)
-     << (fast_forward ? "-ff" : "-noff")
-     << (reference_rebalance ? "-ref" : "-incr");
-  if (engine == SimEngine::kLockstep) os << "-lockstep";
+  os << "k" << pipelines << "-" << fuzz::to_string(sharding);
+  if (engine == SimEngine::kLockstep) {
+    os << "-reference";
+  } else {
+    os << (fast_forward ? "-ff" : "-noff");
+  }
   if (checkpoint_restore) os << "-ckpt";
   return os.str();
 }
@@ -119,7 +121,6 @@ SimOptions SimConfig::to_options() const {
     return opts;
   }
   opts.sharding = sharding;
-  opts.reference_rebalance = reference_rebalance;
   opts.engine = engine;
   opts.remap_period = remap_period;
   opts.fifo_capacity = fifo_capacity;
@@ -132,20 +133,14 @@ std::vector<SimConfig> full_config_matrix() {
     for (const ShardingPolicy policy :
          {ShardingPolicy::kDynamic, ShardingPolicy::kStaticRandom,
           ShardingPolicy::kIdealLpt}) {
-      for (const bool ff : {true, false}) {
-        for (const bool ref_rebalance : {false, true}) {
-          for (const SimEngine engine :
-               {SimEngine::kEvent, SimEngine::kLockstep}) {
-            SimConfig cfg;
-            cfg.pipelines = k;
-            cfg.sharding = policy;
-            cfg.fast_forward = ff;
-            cfg.reference_rebalance = ref_rebalance;
-            cfg.engine = engine;
-            matrix.push_back(cfg);
-          }
-        }
-      }
+      SimConfig cfg;
+      cfg.pipelines = k;
+      cfg.sharding = policy;
+      matrix.push_back(cfg); // event walk, cycle skipping
+      cfg.fast_forward = false;
+      matrix.push_back(cfg); // event walk, every cycle stepped
+      cfg.engine = SimEngine::kLockstep;
+      matrix.push_back(cfg); // dense reference
     }
   }
   return matrix;
@@ -153,7 +148,7 @@ std::vector<SimConfig> full_config_matrix() {
 
 std::vector<SimConfig> quick_config_matrix() {
   std::vector<SimConfig> matrix;
-  SimConfig cfg; // k4 dynamic ff incremental
+  SimConfig cfg; // k4 dynamic ff
   matrix.push_back(cfg);
   cfg.pipelines = 2;
   cfg.sharding = ShardingPolicy::kStaticRandom;
@@ -163,10 +158,8 @@ std::vector<SimConfig> quick_config_matrix() {
   cfg.sharding = ShardingPolicy::kIdealLpt;
   cfg.fast_forward = false;
   matrix.push_back(cfg);
-  cfg = SimConfig{};
-  cfg.reference_rebalance = true;
-  matrix.push_back(cfg);
-  cfg = SimConfig{}; // k4 dynamic ff incremental, lockstep reference walk
+  cfg = SimConfig{}; // k4 dynamic, dense reference
+  cfg.fast_forward = false;
   cfg.engine = SimEngine::kLockstep;
   matrix.push_back(cfg);
   return matrix;

@@ -3,8 +3,8 @@
 //   1. the AstInterp oracle (direct source semantics),
 //   2. the banzai::SinglePipeline reference (compiled PVSM, §2.2), and
 //   3. the MP5 simulator across a configuration matrix
-//      (k ∈ {2,4,8} × sharding policy × fast-forward on/off ×
-//       reference_rebalance on/off × event/lockstep walk)
+//      (k ∈ {2,4,8} × sharding policy × {event walk with cycle skipping,
+//       event walk without, dense reference walk})
 // via check_equivalence. Every run is lossless (unbounded FIFOs) with the
 // paranoid invariant watchdog armed, so a failure is a divergence, a drop
 // in a lossless config, or a crash/invariant violation — exactly the
@@ -37,10 +37,10 @@ struct SimConfig {
   std::uint32_t staleness = 0;
   std::uint32_t pipelines = 4;
   ShardingPolicy sharding = ShardingPolicy::kDynamic;
+  /// Cycle skipping of the event walk; the dense reference ignores it.
   bool fast_forward = true;
-  bool reference_rebalance = false;
-  /// Cycle walk: the event-driven bitmap walk (default) or the lockstep
-  /// dense reference walk.
+  /// Cycle walk: the event-driven bitmap walk (default) or the dense
+  /// reference walk (kLockstep).
   SimEngine engine = SimEngine::kEvent;
   std::uint32_t remap_period = 32;
   std::size_t fifo_capacity = 0; // 0 = unbounded (lossless)
@@ -52,10 +52,9 @@ struct SimConfig {
   /// uninterrupted run (the mp5-checkpoint v1 bit-identity contract).
   bool checkpoint_restore = false;
 
-  /// Stable human-readable id, e.g. "k4-dynamic-ff-incr"
-  /// (lockstep reference cells get an extra "-lockstep" suffix); variant
-  /// cells use
-  /// "k4-scr-ff" / "k2-relaxed64-noff".
+  /// Stable human-readable id, e.g. "k4-dynamic-ff" / "k4-dynamic-noff"
+  /// for the event walk and "k4-dynamic-reference" for the dense
+  /// reference; variant cells use "k4-scr-ff" / "k2-relaxed64-noff".
   std::string name() const;
   SimOptions to_options() const;
 };
@@ -64,9 +63,9 @@ std::string to_string(ShardingPolicy policy);
 /// Inverse of to_string; throws ConfigError on unknown names.
 ShardingPolicy sharding_from_string(const std::string& name);
 
-/// The full matrix (72 cells): 3 k-values x 3 sharding policies x
-/// fast-forward on/off x reference/incremental rebalance x event/lockstep
-/// walk.
+/// The full matrix (27 cells): 3 k-values x 3 sharding policies x
+/// {event walk + cycle skipping, event walk stepping every cycle, dense
+/// reference}.
 std::vector<SimConfig> full_config_matrix();
 /// A small subset for smoke tests (one config per distinguishing axis).
 std::vector<SimConfig> quick_config_matrix();

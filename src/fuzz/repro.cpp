@@ -168,7 +168,6 @@ void save_reproducer(const Reproducer& repro, const std::string& json_path) {
   w.kv("pipelines", repro.config.pipelines);
   w.kv("sharding", to_string(repro.config.sharding));
   w.kv("fast_forward", repro.config.fast_forward);
-  w.kv("reference_rebalance", repro.config.reference_rebalance);
   w.kv("engine", mp5::to_string(repro.config.engine));
   w.kv("remap_period", repro.config.remap_period);
   w.kv("fifo_capacity", static_cast<std::uint64_t>(repro.config.fifo_capacity));
@@ -216,13 +215,13 @@ Reproducer load_reproducer(const std::string& json_path) {
       static_cast<std::uint32_t>(scan_int(config_text, "pipelines"));
   repro.config.sharding =
       sharding_from_string(scan_string(config_text, "sharding"));
-  // "threads" (the deleted parallel lane engine) may still appear in
-  // older files; it never changed a result, so it is ignored.
+  // Older files may carry keys of deleted knobs that never changed a
+  // result; they are ignored: "threads" (the parallel lane engine) and
+  // "reference_rebalance" (the dense reference now always rebalances
+  // through the full scan).
   repro.config.fast_forward = scan_bool(config_text, "fast_forward");
-  repro.config.reference_rebalance =
-      scan_bool(config_text, "reference_rebalance");
   // Key added with the event engine; corpus files written before it
-  // existed mean the (then-only) lockstep engine.
+  // existed mean the (then-only) lockstep walk, now the dense reference.
   repro.config.engine =
       config_text.find("\"engine\"") == std::string::npos
           ? SimEngine::kLockstep

@@ -145,12 +145,11 @@ std::uint64_t config_fingerprint(const Mp5Program& program,
                                  const SimOptions& options) {
   Fp fp;
   // Semantic SimOptions: everything that changes *what* the run computes.
-  // Engine knobs (engine, fast_forward, reference_rebalance, max_cycles,
-  // paranoid_checks, sinks, telemetry, checkpoint cadence) are
-  // excluded by design: they are proven bit-identity-preserving, so a
-  // checkpoint may be restored under a different engine configuration — in
-  // particular, a lockstep checkpoint restores under the event engine and
-  // vice versa.
+  // Engine knobs (engine, fast_forward, max_cycles, paranoid_checks,
+  // sinks, telemetry, checkpoint cadence) are excluded by design: they are
+  // proven bit-identity-preserving, so a checkpoint may be restored under
+  // a different engine configuration — in particular, a checkpoint of the
+  // dense reference restores under the event walk and vice versa.
   fp.u32(static_cast<std::uint32_t>(options.variant));
   fp.u32(options.staleness_bound);
   fp.u32(options.pipelines);
@@ -472,9 +471,9 @@ Cycle Mp5Simulator::restore_state(ByteReader& r,
     }
   }
 
-  // The event engine's activity bitmap is derived state (never
-  // serialized): rebuild it from the restored FIFO/arrival occupancy, so
-  // a checkpoint taken under either engine restores under either.
+  // The activity bitmap is derived state (never serialized): rebuild it
+  // from the restored FIFO/arrival occupancy, so a checkpoint taken under
+  // either walk restores under either.
   rebuild_activity();
 
   return now;

@@ -16,9 +16,9 @@
 // configuration — fields that change what the simulation computes
 // (pipelines, sharding, seed, faults, program shape, ...). Engine knobs
 // that are proven bit-identity-preserving (engine, fast_forward,
-// reference_rebalance, checkpoint cadence itself) are excluded, so a
-// checkpoint taken under the lockstep reference walk restores fine into
-// an event-walk run and vice versa.
+// checkpoint cadence itself) are excluded, so a checkpoint taken under
+// the dense reference walk restores fine into an event-walk run and vice
+// versa.
 //
 // Corruption handling: truncated files, bad magic, version or fingerprint
 // mismatches and checksum failures all throw Error with a diagnostic —

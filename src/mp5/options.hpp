@@ -21,15 +21,18 @@ class Telemetry;
 /// bit-identical SimResult for every configuration, seed and fault plan —
 /// the fuzz matrix and the determinism suite enforce it.
 enum class SimEngine : std::uint8_t {
-  /// Dense reference walk: every (lane, stage) cell is visited every
-  /// cycle. Kept as the reference the event walk is tested against.
+  /// The dense reference: the literal §3.2 / Figure 4 reading. It steps
+  /// every cycle, visits every (lane, stage) cell and rebalances through
+  /// the full-scan ShardedState::rebalance_reference(). Selected only by
+  /// tests, the fuzzer and benches, which compare the event walk against
+  /// it; no CLI exposes it.
   kLockstep = 0,
   /// Event-driven conservative-lookahead walk (the default): cells are
   /// visited only when an activity bit says they might hold work, and
-  /// stretches of cycles where no cell can make progress are skipped
-  /// arithmetically even under a scheduled fault plan (the lockstep walk
-  /// only skips fully idle, fault-free stretches). Cost per cycle is
-  /// proportional to occupied cells instead of k x stages.
+  /// (with SimOptions::fast_forward) stretches of cycles where no cell can
+  /// make progress are skipped arithmetically, also under a scheduled
+  /// fault plan. Cost per cycle is proportional to occupied cells instead
+  /// of k x stages.
   kEvent = 1,
 };
 
@@ -158,29 +161,22 @@ struct SimOptions {
   std::uint64_t max_cycles = 5'000'000;
 
   /// Cycle walk. kEvent (the default) visits only cells whose activity
-  /// bits are set; kLockstep is the dense reference walk that visits every
-  /// cell every cycle. Results are bit-identical either way; the knob is
-  /// excluded from the checkpoint config fingerprint, so a checkpoint
-  /// taken under one walk restores under the other. The replicated
-  /// designs (kScr / kRelaxed) run their own walk and reject kLockstep.
+  /// bits are set; kLockstep is the dense reference (see SimEngine).
+  /// Results are bit-identical either way; the knob is excluded from the
+  /// checkpoint config fingerprint, so a checkpoint taken under one walk
+  /// restores under the other. The replicated designs (kScr / kRelaxed)
+  /// run their own walk and reject kLockstep.
   SimEngine engine = SimEngine::kEvent;
 
-  /// Idle-cycle fast-forward: when no packet is anywhere in the switch,
-  /// jump the clock straight to the next event (trace arrival,
-  /// phantom-channel delivery, fault boundary) instead of stepping empty
-  /// cycles one by one. Sparse traces then cost O(packets) instead of
-  /// O(cycles). The event walk skips under fault plans too; the lockstep
-  /// walk only when no fault plan is scheduled. Results — including
-  /// SimResult::cycles_run — are identical with the optimization on or
-  /// off, under either walk; disable only to measure the raw cycle loop.
+  /// Cycle skipping of the event walk: jump the clock over stretches where
+  /// no cell can make progress (to the next trace arrival, phantom-channel
+  /// delivery, dirty remap boundary, checkpoint boundary or fault
+  /// boundary) instead of stepping them one by one. Sparse traces then
+  /// cost O(packets) instead of O(cycles). Results — including
+  /// SimResult::cycles_run — are identical with skipping on or off;
+  /// disable only to measure the raw cycle loop. The dense reference
+  /// (kLockstep) never skips and does not read this knob.
   bool fast_forward = true;
-
-  /// Route periodic rebalances through the full-scan reference
-  /// implementation (ShardedState::rebalance_reference) instead of the
-  /// incremental O(touched) path. Validation/bench knob: the two produce
-  /// bit-identical results, so this only changes how long a remap
-  /// boundary takes.
-  bool reference_rebalance = false;
 
   /// Record per-packet egress headers (needed for equivalence checks).
   bool record_egress = false;

@@ -117,8 +117,8 @@ public:
   /// therefore identical maps, move counts and downstream SimResults),
   /// O(table size) per call. Kept compiled in as the oracle for the
   /// equivalence property suite and the bench_ablation_remap before/after
-  /// comparison; SimOptions::reference_rebalance routes the simulator
-  /// through it.
+  /// comparison; the simulator's dense reference walk
+  /// (SimEngine::kLockstep) rebalances through it.
   std::size_t rebalance_reference();
 
   /// Aggregate per-pipeline access-counter load for one register array

@@ -127,9 +127,7 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
 
   event_engine_ = opts_.engine == SimEngine::kEvent;
   lane_words_ = (k_ + 63) / 64;
-  if (event_engine_) {
-    active_.assign(static_cast<std::size_t>(num_stages_) * lane_words_, 0);
-  }
+  active_.assign(static_cast<std::size_t>(num_stages_) * lane_words_, 0);
 
 #if MP5_TELEMETRY_COMPILED
   if (opts_.telemetry != nullptr) {
@@ -225,14 +223,9 @@ SimResult Mp5Simulator::finish(Cycle end_cycle) {
 SimResult Mp5Simulator::run_loop(TraceSource& source, Cycle start_cycle) {
   source_ = &source;
 
-  // Cycle skipping (SimOptions::fast_forward). The lockstep reference walk
-  // only skips when nothing is scheduled against the wall clock: any fault
-  // plan (stall windows, pressure windows, lane events, phantom coin flips
-  // at admit) pins it to the cycle-by-cycle walk. The event walk skips
-  // under fault plans too, with the skip target clamped at every
-  // per-cycle-observable fault boundary.
-  const bool ff_enabled =
-      opts_.fast_forward && (event_engine_ || !fault_sched_.any());
+  // Cycle skipping (SimOptions::fast_forward) belongs to the event walk;
+  // the dense reference steps every cycle.
+  const bool skip = event_engine_ && opts_.fast_forward;
 
   Cycle now = start_cycle;
   try {
@@ -241,17 +234,13 @@ SimResult Mp5Simulator::run_loop(TraceSource& source, Cycle start_cycle) {
         throw Error(
             "Mp5Simulator: max_cycles exceeded (deadlock or overload?)");
       }
-      // 0a. Idle-cycle fast-forward: with the switch fully drained, every
-      //     cycle until the next event is a provable no-op — jump there.
-      //     (next_event_cycle clamps the jump to the next checkpoint
-      //     boundary; the boundary cycle itself is then a no-op walk, so
-      //     checkpointed and checkpoint-free runs stay bit-identical.)
-      //     Under the event walk, activity_all_clear() stands in for the
-      //     per-FIFO drain scan.
-      if (ff_enabled && live_packets_ == 0 && source_->peek() != nullptr &&
-          (event_engine_ ? activity_all_clear() : fully_drained())) {
-        now = event_engine_ ? next_event_cycle_event(now)
-                            : next_event_cycle(now);
+      // 0a. Cycle skip: with the switch drained, every cycle until the
+      //     next event is a provable no-op — jump there. (next_event_cycle
+      //     clamps the jump to the next checkpoint boundary; the boundary
+      //     cycle itself is then a no-op walk, so checkpointed and
+      //     checkpoint-free runs stay bit-identical.)
+      if (skip && drained() && source_->peek() != nullptr) {
+        now = next_event_cycle(now);
         if (now >= opts_.max_cycles) {
           throw Error(
               "Mp5Simulator: max_cycles exceeded (deadlock or overload?)");
@@ -314,7 +303,8 @@ void Mp5Simulator::step_cycle(Cycle now) {
   //    lanes are skipped (their queues were drained at failure time).
   //    The event walk first settles the stalled-but-empty cells it will
   //    not visit (before the walk mutates any activity bit), then visits
-  //    only the active cells.
+  //    only the active cells. The dense walk visits every cell and clears
+  //    the same bits the event walk would.
   if (event_engine_) {
     account_skipped_stalls(now);
     walk_event(now);
@@ -323,14 +313,16 @@ void Mp5Simulator::step_cycle(Cycle now) {
       for (PipelineId p = 0; p < k_; ++p) {
         if (!lane_alive_[p]) continue;
         step_cell(p, st, now);
+        if (fifos_[cell(p, st)].size() == 0) clear_active(p, st);
       }
     }
   }
-  // 4. Periodic dynamic state sharding (Figure 6).
+  // 4. Periodic dynamic state sharding (Figure 6). The dense reference
+  //    takes the full-scan path, the event walk the incremental one; both
+  //    make identical decisions.
   if (opts_.remap_period != 0 && (now + 1) % opts_.remap_period == 0) {
-    const std::size_t moves = opts_.reference_rebalance
-                                  ? state_->rebalance_reference()
-                                  : state_->rebalance();
+    const std::size_t moves = event_engine_ ? state_->rebalance()
+                                            : state_->rebalance_reference();
     result_.remap_moves += moves;
     if (moves != 0) {
       emit(TimelineEvent::Kind::kRemap, now, 0, 0, kInvalidSeqNo,
@@ -373,51 +365,7 @@ SimResult Mp5Simulator::finalize(Cycle now) {
 }
 
 // ---------------------------------------------------------------------------
-// Idle-cycle fast-forward
-// ---------------------------------------------------------------------------
-
-bool Mp5Simulator::fully_drained() const {
-  // live_packets_ == 0 is checked by the caller, but cancelled zombie
-  // phantoms may still be queued — and reclaiming them consumes real
-  // (wasted) pop cycles, so the clock must tick through them.
-  for (const auto& fifo : fifos_) {
-    if (fifo.size() != 0) return false;
-  }
-  return true;
-}
-
-Cycle Mp5Simulator::next_event_cycle(Cycle now) {
-  // Next trace arrival: admitted in the cycle its arrival time truncates
-  // to (the run loop admits while arrival_time < now + 1). The caller
-  // guarantees the source is non-empty.
-  Cycle target = static_cast<Cycle>(source_->peek()->arrival_time);
-  // A cancelled phantom still in flight is delivered as a zombie at its
-  // scheduled cycle and costs a wasted pop afterwards.
-  if (const auto deliver = channel_next_deliver(); deliver.has_value()) {
-    target = std::min(target, *deliver);
-  }
-  // Remap boundaries are observable while the shard map's window is dirty
-  // (the rebalance could move shards or reset live counters) or telemetry
-  // counts rebalance runs; with a clean window and no telemetry the
-  // rebalance is a provable no-op (zero loads => zero moves, nothing to
-  // reset) and the boundary can be skipped.
-  if (opts_.remap_period != 0 && (state_->window_dirty() || telem_ != nullptr)) {
-    const Cycle period = opts_.remap_period;
-    const Cycle boundary = ((now + period) / period) * period - 1;
-    target = std::min(target, boundary);
-  }
-  // Never jump past a checkpoint boundary: the checkpoint must observe the
-  // state at exactly that cycle. Landing there is behavior-neutral — the
-  // switch is drained, so the boundary cycle is an empty walk.
-  if (opts_.checkpoint_interval != 0) {
-    target = std::min(target, next_checkpoint_);
-  }
-  target = std::min<Cycle>(target, opts_.max_cycles);
-  return std::max(target, now);
-}
-
-// ---------------------------------------------------------------------------
-// Event engine (SimOptions::engine == kEvent)
+// Activity bitmap, event walk and cycle skipping
 // ---------------------------------------------------------------------------
 
 bool Mp5Simulator::activity_all_clear() const {
@@ -428,7 +376,6 @@ bool Mp5Simulator::activity_all_clear() const {
 }
 
 void Mp5Simulator::rebuild_activity() {
-  if (!event_engine_) return;
   std::fill(active_.begin(), active_.end(), 0);
   for (PipelineId p = 0; p < k_; ++p) {
     for (StageId st = 0; st < num_stages_; ++st) {
@@ -489,10 +436,32 @@ void Mp5Simulator::account_skipped_stalls(Cycle now) {
   }
 }
 
-Cycle Mp5Simulator::next_event_cycle_event(Cycle now) {
-  Cycle target = next_event_cycle(now);
-  // Unlike lockstep fast-forward, the event engine skips under fault
-  // plans; the extra clamps pin every per-cycle-observable fault boundary.
+Cycle Mp5Simulator::next_event_cycle(Cycle now) {
+  // Next trace arrival: admitted in the cycle its arrival time truncates
+  // to (the run loop admits while arrival_time < now + 1). The caller
+  // guarantees the source is non-empty.
+  Cycle target = static_cast<Cycle>(source_->peek()->arrival_time);
+  // A cancelled phantom still in flight is delivered as a zombie at its
+  // scheduled cycle and costs a wasted pop afterwards.
+  if (const auto deliver = channel_next_deliver(); deliver.has_value()) {
+    target = std::min(target, *deliver);
+  }
+  // Remap boundaries are observable while the shard map's window is dirty
+  // (the rebalance could move shards or reset live counters) or telemetry
+  // counts rebalance runs; with a clean window and no telemetry the
+  // rebalance is a provable no-op (zero loads => zero moves, nothing to
+  // reset) and the boundary can be skipped.
+  if (opts_.remap_period != 0 && (state_->window_dirty() || telem_ != nullptr)) {
+    const Cycle period = opts_.remap_period;
+    const Cycle boundary = ((now + period) / period) * period - 1;
+    target = std::min(target, boundary);
+  }
+  // Never jump past a checkpoint boundary: the checkpoint must observe the
+  // state at exactly that cycle. Landing there is behavior-neutral — the
+  // switch is drained, so the boundary cycle is an empty walk.
+  if (opts_.checkpoint_interval != 0) {
+    target = std::min(target, next_checkpoint_);
+  }
   // Lane fail/recover events mutate state at their exact cycle.
   const auto& events = fault_sched_.lane_events();
   if (fault_cursor_ < events.size()) {
@@ -507,6 +476,7 @@ Cycle Mp5Simulator::next_event_cycle_event(Cycle now) {
     if (s.pipeline >= k_ || !lane_alive_[s.pipeline]) continue;
     target = std::min(target, std::max(s.from, now));
   }
+  target = std::min<Cycle>(target, opts_.max_cycles);
   return std::max(target, now);
 }
 
@@ -585,7 +555,7 @@ void Mp5Simulator::deliver_due_phantoms(Cycle now) {
       ++result_.dropped_phantom;
       continue; // the data packet will miss its placeholder and be dropped
     }
-    if (event_engine_) mark_active(pending.pipeline, pending.stage);
+    mark_active(pending.pipeline, pending.stage);
     emit(TimelineEvent::Kind::kPhantomPush, now, pending.pipeline,
          pending.stage, pending.seq);
     if (pending.cancelled) {
@@ -632,7 +602,7 @@ void Mp5Simulator::fail_lane(PipelineId p, Cycle now) {
     }
     arrival_count_[c] = 0;
     for (const PacketRef ref : fifos_[c].drain_all()) doomed.push_back(ref);
-    if (event_engine_) clear_active(p, st);
+    clear_active(p, st);
   }
 
   // 2. Phantoms in flight toward the dead lane vanish with its channel
@@ -747,7 +717,7 @@ void Mp5Simulator::check_invariants(Cycle now) const {
                                  std::to_string(st));
       }
       in_containers += arrival_count_[c];
-      if (event_engine_ && !cell_active(p, st) &&
+      if (!cell_active(p, st) &&
           (fifo.size() != 0 || arrival_count_[c] != 0)) {
         // A clear activity bit must prove the cell empty — a stale clear
         // would make the event walk silently skip real work.
@@ -840,7 +810,7 @@ void Mp5Simulator::push_arrival(PipelineId dest, StageId st, PacketRef ref,
   }
   arrival_slots_[c * k_ + n] = ArrivedRef{ref, from_lane};
   arrival_count_[c] = n + 1;
-  if (event_engine_) mark_active(dest, st);
+  mark_active(dest, st);
 }
 
 void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
@@ -952,7 +922,7 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
             acc.phantom_dropped = true;
             ++result_.dropped_phantom;
           } else {
-            if (event_engine_) mark_active(acc.pipeline, acc.stage);
+            mark_active(acc.pipeline, acc.stage);
             MP5_TELEM_INC(t_phantom_sent_);
             emit(TimelineEvent::Kind::kPhantomPush, now, acc.pipeline,
                  acc.stage, pkt.seq);

@@ -37,9 +37,9 @@
 //     O(occupied cells) instead of O(k x stages), and skips no-progress
 //     cycle stretches arithmetically, also under fault plans
 //     (SimOptions::fast_forward; see DESIGN.md "Event-driven engine").
-//   * kLockstep is the dense reference walk: every cell, every cycle,
-//     skipping only fully drained, fault-free stretches. Tests and the
-//     fuzzer's reference cells compare the event walk against it.
+//   * kLockstep is the dense reference: every cell, every cycle, no
+//     skipping, full-scan rebalance. Tests and the fuzzer's reference
+//     cells compare the event walk against it.
 //
 // The same class implements the ablations (no-D4, static sharding, naive
 // single-pipeline, ideal) via SimOptions; the recirculation baseline has
@@ -130,8 +130,10 @@ public:
   /// Packets currently inside the switch (queues, slots, FIFOs).
   std::uint64_t live_packets() const { return live_packets_; }
   /// True when no packet *or zombie phantom* occupies any structure — the
-  /// precondition for the caller to skip this switch's cycles.
-  bool drained() const { return live_packets_ == 0 && fully_drained(); }
+  /// precondition for the caller to skip this switch's cycles. The same
+  /// activity bitmap is kept under both walks, so the answer after each
+  /// step does not depend on SimOptions::engine.
+  bool drained() const { return live_packets_ == 0 && activity_all_clear(); }
   /// End the externally-clocked run at `end_cycle` and return the result
   /// (identical tail to run(): final registers, C1, sorted egress).
   SimResult finish(Cycle end_cycle);
@@ -221,17 +223,7 @@ private:
   /// of trace items already admitted (the source skip target).
   Cycle restore_state(ByteReader& r, std::uint64_t& trace_consumed);
 
-  // -- idle-cycle fast-forward --
-
-  /// True when no packet exists anywhere in the switch (queues, arrival
-  /// slots, FIFOs) — the precondition for jumping the clock.
-  bool fully_drained() const;
-  /// Next cycle at which anything can happen: the next trace arrival, the
-  /// next phantom-channel delivery, and — while the shard map's window is
-  /// dirty or telemetry observes rebalance runs — the next remap boundary.
-  Cycle next_event_cycle(Cycle now);
-
-  // -- event engine (SimOptions::engine == kEvent) --
+  // -- activity bitmap --
   //
   // One activity bit per (stage, lane) cell, set whenever the cell might
   // hold work (a FIFO entry or a pending arrival slot). Bits are set
@@ -239,7 +231,10 @@ private:
   // (or when a whole lane is drained at failure), so a clear bit *proves*
   // the cell is a no-op this cycle — the dense walk's step_cell on it
   // would touch nothing. Stale *set* bits are harmless: the next stepped
-  // cycle visits the cell, finds it empty, and clears them.
+  // cycle visits the cell, finds it empty, and clears them. Both walks
+  // keep the bitmap (the dense walk clears exactly the bits the event
+  // walk would), so drained() and the paranoid check read the same
+  // state under either; only the event walk uses it to skip cells.
 
   void mark_active(PipelineId p, StageId st) {
     active_[static_cast<std::size_t>(st) * lane_words_ + (p >> 6)] |=
@@ -254,8 +249,8 @@ private:
             (std::uint64_t{1} << (p & 63))) != 0;
   }
   /// Every activity bit clear: with live_packets_ == 0 this proves the
-  /// switch is fully drained (bits are never stale-cleared), without the
-  /// per-FIFO scan of fully_drained().
+  /// switch is fully drained, zombie phantoms included (bits are never
+  /// stale-cleared).
   bool activity_all_clear() const;
   /// Rebuild every bit from the restored FIFO/arrival-slot occupancy
   /// (checkpoint restore) — the bitmap itself is derived state and is
@@ -264,15 +259,17 @@ private:
   /// Visit the active cells, last stage first, lanes ascending within
   /// each stage — the dense walk's order minus its provable no-ops.
   void walk_event(Cycle now);
-  /// Lockstep counts one stalled cycle per alive stalled cell per cycle,
-  /// even when the cell is empty. The event walk skips empty cells, so the
-  /// unvisited (bit-clear) stalled cells are counted arithmetically here,
-  /// before the walk mutates any bit.
+  /// The dense walk counts one stalled cycle per alive stalled cell per
+  /// cycle, even when the cell is empty. The event walk skips empty cells,
+  /// so the unvisited (bit-clear) stalled cells are counted arithmetically
+  /// here, before the walk mutates any bit.
   void account_skipped_stalls(Cycle now);
-  /// Event-engine cycle skip target: next_event_cycle further clamped so
-  /// no skipped cycle contains a lane fail/recover event or is covered by
-  /// a stall window of an alive lane (both are observable per cycle).
-  Cycle next_event_cycle_event(Cycle now);
+  /// Event-walk cycle skip target: the next cycle at which anything can
+  /// happen — the next trace arrival, phantom-channel delivery, checkpoint
+  /// boundary, lane fail/recover event or stall-covered cycle of an alive
+  /// lane, and (while the shard map's window is dirty or telemetry
+  /// observes rebalance runs) the next remap boundary.
+  Cycle next_event_cycle(Cycle now);
 
   // -- realistic phantom channel (slot pool + lazy-deletion min-heap) --
 
@@ -362,7 +359,7 @@ private:
   // (Remap-boundary observability lives in ShardedState::window_dirty()
   // now — the shard map knows which registers the next rebalance resets.)
 
-  // -- event engine state --
+  // -- cycle walk state --
   bool event_engine_ = false;       // opts_.engine == SimEngine::kEvent
   std::uint32_t lane_words_ = 1;    // ceil(k_ / 64)
   /// Activity bitmap, [stage * lane_words_ + (lane >> 6)].

@@ -5,6 +5,7 @@
 # invocation must still exit zero.
 #
 # Inputs: -DMP5C=<path> -DMP5SIM=<path> -DMP5FABRIC=<path> -DMP5NATIVE=<path>
+#         -DMP5SOAK=<path>
 
 function(expect_failure label)
   execute_process(COMMAND ${ARGN}
@@ -93,12 +94,6 @@ expect_failure("mp5sim zero staleness"
 expect_failure("mp5sim staleness under scr design"
                ${MP5SIM} --builtin figure3 --packets 200 --design scr
                --staleness 8)
-expect_failure("mp5sim lockstep engine under scr design"
-               ${MP5SIM} --builtin figure3 --packets 200 --design scr
-               --engine lockstep)
-expect_failure("mp5sim event engine under relaxed design"
-               ${MP5SIM} --builtin figure3 --packets 200 --design relaxed
-               --engine event)
 expect_failure("mp5sim timeline under scr design"
                ${MP5SIM} --builtin figure3 --packets 200 --design scr
                --timeline 50)
@@ -131,9 +126,6 @@ expect_failure("mp5sim relaxed restore of scr checkpoint"
 expect_failure("mp5sim recirc rejects fifo-capacity"
                ${MP5SIM} --builtin figure3 --packets 200 --design recirc
                --fifo-capacity 8)
-expect_failure("mp5sim recirc rejects no-fast-forward"
-               ${MP5SIM} --builtin figure3 --packets 200 --design recirc
-               --no-fast-forward)
 expect_failure("mp5sim recirc rejects phantom-channel"
                ${MP5SIM} --builtin figure3 --packets 200 --design recirc
                --phantom-channel)
@@ -144,31 +136,29 @@ expect_failure("mp5sim recirc rejects staleness"
                ${MP5SIM} --builtin figure3 --packets 200 --design recirc
                --staleness 8)
 
-# -- mp5sim event engine (ISSUE 8) --
-expect_failure("mp5sim unknown engine"
-               ${MP5SIM} --builtin figure3 --packets 200 --engine warp)
-expect_failure("mp5sim event engine under recirculation baseline"
-               ${MP5SIM} --builtin figure3 --design recirc --packets 200
-               --engine event)
-expect_success("mp5sim event engine control run"
-               ${MP5SIM} --builtin figure3 --packets 400 --engine event
-               --paranoid)
-expect_success("mp5sim event engine fault run"
-               ${MP5SIM} --builtin figure3 --packets 400 --engine event
-               --fail-pipeline 1@50:300 --paranoid)
-expect_success("mp5sim lockstep reference walk control run"
-               ${MP5SIM} --builtin figure3 --packets 400 --engine lockstep
-               --paranoid)
-# The parallel lane engine is gone: its flag is an unknown option now.
-execute_process(COMMAND ${MP5SIM} --builtin figure3 --packets 200
-                --threads 2
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(rc EQUAL 0 OR NOT rc MATCHES "^[0-9]+$")
-  message(FATAL_ERROR "mp5sim --threads: expected a nonzero exit, got ${rc}")
-endif()
-if(NOT err MATCHES "unknown option '--threads'")
-  message(FATAL_ERROR "mp5sim --threads: expected an unknown-option diagnostic, got '${err}'")
-endif()
+# -- retired engine flags --
+# The cycle walk is not a CLI surface: the event walk with cycle skipping
+# is the only shipped engine, the dense reference walk is for tests and
+# the fuzzer, and the parallel lane engine is gone. Each flag is an
+# unknown option now.
+foreach(case
+        "MP5SIM --threads 2"
+        "MP5SIM --engine lockstep"
+        "MP5SIM --no-fast-forward"
+        "MP5SOAK --engine event"
+        "MP5FABRIC --engine event")
+  separate_arguments(argv UNIX_COMMAND "${case}")
+  list(POP_FRONT argv tool)
+  list(GET argv 0 flag)
+  execute_process(COMMAND ${${tool}} ${argv}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT rc MATCHES "^[0-9]+$")
+    message(FATAL_ERROR "${case}: expected a nonzero exit, got ${rc}")
+  endif()
+  if(NOT err MATCHES "unknown option '${flag}'")
+    message(FATAL_ERROR "${case}: expected an unknown-option diagnostic, got '${err}'")
+  endif()
+endforeach()
 
 # -- mp5sim checkpoint/restore (ISSUE 6) --
 expect_failure("mp5sim checkpoint interval without out"
@@ -232,10 +222,6 @@ endif()
 expect_success("mp5fabric fault control run"
                ${MP5FABRIC} --flows 300 --lb flowlet --quiet
                --kill-switch spine1@1000 --kill-link leaf0:spine0@500)
-expect_failure("mp5fabric unknown engine"
-               ${MP5FABRIC} --flows 10 --engine warp)
-expect_success("mp5fabric event engine control run"
-               ${MP5FABRIC} --flows 300 --lb conga --quiet --engine event)
 
 # -- mp5native (ISSUE 9) --
 expect_failure("mp5native no program" ${MP5NATIVE})

@@ -97,11 +97,10 @@ TEST(CheckpointFingerprint, CoversSemanticsNotEngineKnobs) {
   const std::uint64_t fp = config_fingerprint(prog, base);
 
   // Engine knobs are excluded by design: a checkpoint taken under the
-  // event walk restores into a lockstep / no-fast-forward run.
+  // event walk restores into a dense-reference / no-fast-forward run.
   SimOptions engine = base;
   engine.engine = SimEngine::kLockstep;
   engine.fast_forward = false;
-  engine.reference_rebalance = true;
   engine.checkpoint_interval = 1000;
   engine.max_cycles = 42;
   engine.paranoid_checks = true;
@@ -246,21 +245,16 @@ TEST(CheckpointRestore, CrossEngineRestore) {
   ASSERT_FALSE(blobs.empty());
 
   // The fingerprint excludes engine knobs, so an event-walk checkpoint
-  // restores with fast-forward off, with the reference rebalance, and
-  // under the lockstep reference walk (with and without fast-forward) —
-  // and still reproduces the uninterrupted result bit-for-bit.
-  for (const char* variant :
-       {"noff", "ref-rebalance", "lockstep", "lockstep-noff"}) {
+  // restores into the event walk stepping every cycle and into the dense
+  // reference — and still reproduces the uninterrupted result
+  // bit-for-bit.
+  for (const char* variant : {"noff", "reference"}) {
     SCOPED_TRACE(variant);
     SimOptions vopts = opts;
     if (std::string(variant) == "noff") vopts.fast_forward = false;
-    if (std::string(variant) == "ref-rebalance") {
-      vopts.reference_rebalance = true;
-    }
-    if (std::string(variant).rfind("lockstep", 0) == 0) {
+    if (std::string(variant) == "reference") {
       vopts.engine = SimEngine::kLockstep;
     }
-    if (std::string(variant) == "lockstep-noff") vopts.fast_forward = false;
     Mp5Simulator sim(prog, vopts);
     VectorTraceSource source(trace);
     const SimResult result = sim.resume(source, blobs.front());
@@ -268,9 +262,9 @@ TEST(CheckpointRestore, CrossEngineRestore) {
     EXPECT_TRUE(same_results(baseline, result, &why)) << why;
   }
 
-  // The reverse direction: a checkpoint captured mid-run by the lockstep
-  // reference walk restores under the event walk (which rebuilds its
-  // activity bitmap from the restored occupancy).
+  // The reverse direction: a checkpoint captured mid-run by the dense
+  // reference restores under the event walk (the activity bitmap is
+  // rebuilt from the restored occupancy).
   std::vector<std::string> ls_blobs;
   SimOptions ls_copts = opts;
   ls_copts.engine = SimEngine::kLockstep;

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "domino/parser.hpp"
 #include "fuzz/repro.hpp"
 
 #ifndef MP5_CORPUS_DIR
@@ -152,6 +153,73 @@ TEST(ReproCompat, ThreadsKeyFromOlderFilesIsIgnored) {
   const std::string resaved = (dir / "resaved.json").string();
   fuzz::save_reproducer(repro, resaved);
   EXPECT_EQ(slurp(resaved).find("\"threads\""), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+/// Copies the committed pass-event-sparse-gaps entry into `dir` with one
+/// substring of its JSON replaced, and loads the copy.
+fuzz::Reproducer load_rewritten_corpus_entry(const std::filesystem::path& dir,
+                                             const std::string& from,
+                                             const std::string& to) {
+  const std::filesystem::path corpus(MP5_CORPUS_DIR);
+  std::filesystem::create_directories(dir);
+  for (const char* file :
+       {"pass-event-sparse-gaps.dom", "pass-event-sparse-gaps.trace.csv"}) {
+    std::filesystem::copy_file(
+        corpus / file, dir / file,
+        std::filesystem::copy_options::overwrite_existing);
+  }
+  std::string text = slurp((corpus / "pass-event-sparse-gaps.json").string());
+  const std::size_t pos = text.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  if (pos != std::string::npos) text.replace(pos, from.size(), to);
+  const std::string path = (dir / "pass-event-sparse-gaps.json").string();
+  std::ofstream(path) << text;
+  return fuzz::load_reproducer(path);
+}
+
+/// The loaded entry passes both as a whole (its committed verdict) and in
+/// the very matrix cell its config names.
+void expect_replays_clean(const fuzz::Reproducer& repro) {
+  EXPECT_EQ(repro.kind, fuzz::FailureKind::kNone);
+  const fuzz::Failure observed = fuzz::replay(repro);
+  EXPECT_EQ(observed.kind, repro.kind) << observed.detail;
+  const fuzz::Failure cell = fuzz::Differ().check_config(
+      domino::parse(repro.program_source), repro.trace, repro.config);
+  EXPECT_FALSE(cell) << cell.detail;
+}
+
+TEST(ReproCompat, LockstepFastForwardFileReplaysUnderTheReference) {
+  // Files written while lockstep had its own cycle skipping may say
+  // "engine": "lockstep" with "fast_forward": true. They load as the
+  // dense reference, which never skips, and keep their verdict.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mp5-repro-compat-lockstep";
+  const fuzz::Reproducer repro = load_rewritten_corpus_entry(
+      dir, "\"engine\": \"event\"", "\"engine\": \"lockstep\"");
+  EXPECT_EQ(repro.config.engine, SimEngine::kLockstep);
+  EXPECT_TRUE(repro.config.fast_forward);
+  EXPECT_EQ(repro.config.name(), "k4-dynamic-reference");
+  expect_replays_clean(repro);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ReproCompat, ReferenceRebalanceKeyFromOlderFilesIsIgnored) {
+  // Files written while the rebalance path was its own knob carry a
+  // "reference_rebalance" key. It never changed a result, so it is
+  // ignored: an event-walk entry rewritten to true keeps its verdict, and
+  // new files no longer write the key.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mp5-repro-compat-rebalance";
+  const fuzz::Reproducer repro = load_rewritten_corpus_entry(
+      dir, "\"reference_rebalance\": false", "\"reference_rebalance\": true");
+  EXPECT_EQ(repro.config.engine, SimEngine::kEvent);
+  expect_replays_clean(repro);
+
+  const std::string resaved = (dir / "resaved.json").string();
+  fuzz::save_reproducer(repro, resaved);
+  EXPECT_EQ(slurp(resaved).find("\"reference_rebalance\""),
+            std::string::npos);
   std::filesystem::remove_all(dir);
 }
 

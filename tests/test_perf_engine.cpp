@@ -2,10 +2,15 @@
 // idle-cycle fast-forward and incremental D2 accounting.
 //
 // The contract under test is strict bit-identity: for every seed, design
-// variant and fault plan, the event walk (the default) and the
-// fast-forward optimization must produce a SimResult indistinguishable
-// field-by-field from the lockstep reference walk stepping every cycle.
+// variant and fault plan, the event walk (the default), with or without
+// cycle skipping, must produce a SimResult indistinguishable field-by-field
+// from the dense reference walk (SimEngine::kLockstep), which steps every
+// cycle, visits every cell and rebalances through the full scan.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "apps/programs.hpp"
 #include "baseline/presets.hpp"
@@ -100,7 +105,7 @@ private:
 
 const SimEngine kWalks[] = {SimEngine::kEvent, SimEngine::kLockstep};
 
-// --- event walk: bit-identity with the lockstep reference walk -----------
+// --- event walk: bit-identity with the dense reference walk --------------
 
 TEST(EventEngine, MatchesLockstepAcrossSeedsKsAndVariants) {
   const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
@@ -141,10 +146,10 @@ TEST(EventEngine, MatchesLockstepOnSparseTraces) {
 
   auto opts = mp5_options(8, 1);
   opts.engine = SimEngine::kLockstep;
-  opts.fast_forward = false; // the raw cycle-by-cycle reference walk
   const auto lockstep = run_with(prog, trace, opts);
   EXPECT_GT(lockstep.cycles_run, 4000u);
   opts.engine = SimEngine::kEvent;
+  opts.fast_forward = false;
   expect_identical(lockstep, run_with(prog, trace, opts));
   opts.fast_forward = true;
   expect_identical(lockstep, run_with(prog, trace, opts));
@@ -215,33 +220,58 @@ TEST(EventEngine, MatchesLockstepUnderStallsAndPressure) {
 }
 
 TEST(EventEngine, SkipsUnderFaultPlansWhereLockstepCannot) {
-  // A sparse trace plus a fault plan disables lockstep fast-forward
-  // entirely; the event engine still skips (clamping at the stall window
-  // and lane events) and must stay bit-identical — including
-  // stalled_cycles accumulated across cycles where the switch is empty.
+  // A sparse trace plus a fault plan: the dense reference steps every
+  // cycle, with fast_forward on or off; the event walk skips (clamping at
+  // the stall window and lane events) exactly when fast_forward is on.
+  // All runs must be bit-identical — including stalled_cycles accumulated
+  // across cycles where the switch is empty.
   const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
   SyntheticConfig config;
   config.stateful_stages = 3;
   config.reg_size = 128;
   config.pipelines = 4;
-  config.packets = 200;
-  config.load = 0.005;
+  config.packets = 2000; // long enough that most cycles lie outside the
+  config.load = 0.005;   // stall window, where the event walk may skip
   const auto trace = make_synthetic_trace(config);
 
   auto opts = mp5_options(4, 11);
-  opts.engine = SimEngine::kLockstep;
+  opts.record_egress = true;
+  opts.track_flow_reordering = true;
   opts.faults.stalls.push_back(StageStall{1, 1, 500, 9000});
   opts.faults.pipeline_faults.push_back(PipelineFault{2, 4000, 12000});
-  const auto lockstep = run_with(prog, trace, opts);
-  EXPECT_GT(lockstep.stalled_cycles, 1000u); // empty stalled cycles counted
-  EXPECT_EQ(lockstep.pipeline_failures, 1u);
-  opts.engine = SimEngine::kEvent;
-  expect_identical(lockstep, run_with(prog, trace, opts));
+  const auto run_counting = [&](SimEngine walk, bool ff,
+                                std::uint64_t& peeks) {
+    SimOptions o = opts;
+    o.engine = walk;
+    o.fast_forward = ff;
+    Mp5Simulator sim(prog, o);
+    PeekCountingSource source(trace);
+    SimResult result = sim.run(source);
+    peeks = source.peeks();
+    return result;
+  };
+  // The run loop peeks the source at least once per stepped cycle, so a
+  // run that steps every cycle peeks at least cycles_run times.
+  std::uint64_t ref_peeks = 0, ref_noff_peeks = 0;
+  const auto reference = run_counting(SimEngine::kLockstep, true, ref_peeks);
+  EXPECT_GT(reference.stalled_cycles, 1000u); // empty stalled cycles counted
+  EXPECT_EQ(reference.pipeline_failures, 1u);
+  EXPECT_GE(ref_peeks, reference.cycles_run); // the reference never skips
+  expect_identical(reference,
+                   run_counting(SimEngine::kLockstep, false, ref_noff_peeks));
+  EXPECT_EQ(ref_peeks, ref_noff_peeks); // ... and ignores fast_forward
+
+  std::uint64_t noff_peeks = 0, ff_peeks = 0;
+  expect_identical(reference,
+                   run_counting(SimEngine::kEvent, false, noff_peeks));
+  EXPECT_GE(noff_peeks, reference.cycles_run);
+  expect_identical(reference, run_counting(SimEngine::kEvent, true, ff_peeks));
+  EXPECT_LT(ff_peeks, reference.cycles_run); // skips outside the window
 }
 
 TEST(EventEngine, IdenticalTelemetryAndTimeline) {
   // The event walk visits exactly the cells that do something, so the
-  // event stream and every counter must match the lockstep run's.
+  // event stream and every counter must match the dense reference's.
   const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
   SyntheticConfig config;
   config.stateful_stages = 3;
@@ -278,32 +308,110 @@ TEST(EventEngine, IdenticalTelemetryAndTimeline) {
   EXPECT_EQ(lockstep_telem.counter_snapshot(), event_telem.counter_snapshot());
 }
 
+/// Externally clocked run in the style of a co-simulation loop: skip
+/// only while drained(), to the next arrival, clamped to the next dirty
+/// remap boundary and to the next cycle the fault plan observes (a lane
+/// event, or a cycle covered by a stall window). Records drained() after
+/// every step.
+SimResult run_stepped(const Mp5Program& prog, const Trace& trace,
+                      SimOptions opts, std::vector<bool>& drained_after) {
+  opts.record_egress = true;
+  opts.track_flow_reordering = true;
+  Mp5Simulator sim(prog, opts);
+  VectorTraceSource source(trace);
+  sim.begin(source);
+  const auto fault_clamp = [&opts](Cycle now, Cycle target) {
+    for (const auto& f : opts.faults.pipeline_faults) {
+      for (const Cycle c : {f.fail_at, f.recover_at}) {
+        if (c >= now) target = std::min(target, c);
+      }
+    }
+    for (const auto& st : opts.faults.stalls) {
+      if (st.until > now) target = std::min(target, std::max(st.from, now));
+    }
+    return target;
+  };
+  Cycle now = 0;
+  drained_after.clear();
+  while (sim.has_work()) {
+    if (sim.drained()) {
+      if (const TraceItem* next = source.peek()) {
+        Cycle target = static_cast<Cycle>(next->arrival_time);
+        if (opts.remap_period != 0 && sim.state().window_dirty()) {
+          const Cycle period = opts.remap_period;
+          target = std::min(target, ((now + period) / period) * period - 1);
+        }
+        now = std::max(fault_clamp(now, target), now);
+      }
+    }
+    sim.step(now++);
+    drained_after.push_back(sim.drained());
+  }
+  return sim.finish(now);
+}
+
 TEST(EventEngine, ExternalClockingMatchesRun) {
-  // The fabric drives inner simulators through begin/step/finish; with an
-  // event-engine inner sim the stepped walk must equal run() bit for bit.
+  // The fabric and perfbench drive inner simulators through
+  // begin/step/finish, skipping cycles while drained(). Under either walk,
+  // with and without a fault plan, that stepped run must equal run() and
+  // a run restored from a mid-run checkpoint bit for bit, and drained()
+  // must read the same after every step under both walks (they keep one
+  // activity bitmap).
   const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
   SyntheticConfig config;
   config.stateful_stages = 3;
   config.reg_size = 128;
   config.pipelines = 4;
   config.packets = 600;
+  config.load = 0.05; // drained stretches between bursts
   const auto trace = make_synthetic_trace(config);
 
-  auto opts = mp5_options(4, 6);
-  opts.engine = SimEngine::kEvent;
-  const auto whole = run_with(prog, trace, opts);
+  for (const bool faulty : {false, true}) {
+    SCOPED_TRACE(faulty ? "fault plan" : "fault-free");
+    auto opts = mp5_options(4, 6);
+    if (faulty) {
+      opts.faults.stalls.push_back(StageStall{2, 1, 300, 900});
+      opts.faults.pipeline_faults.push_back(PipelineFault{1, 2000, 4000});
+    }
+    std::vector<bool> event_drained;
+    opts.engine = SimEngine::kEvent;
+    const auto event = run_stepped(prog, trace, opts, event_drained);
+    EXPECT_NE(std::count(event_drained.begin(), event_drained.end(), true),
+              0);
+    if (faulty) {
+      EXPECT_GT(event.stalled_cycles, 0u);
+    }
 
-  opts.record_egress = true;
-  opts.track_flow_reordering = true;
-  Mp5Simulator sim(prog, opts);
-  VectorTraceSource source(trace);
-  sim.begin(source);
-  Cycle c = 0;
-  while (sim.has_work()) sim.step(c++);
-  expect_identical(whole, sim.finish(c));
+    for (const SimEngine walk : kWalks) {
+      SCOPED_TRACE(to_string(walk));
+      opts.engine = walk;
+      std::vector<bool> drained;
+      expect_identical(event, run_stepped(prog, trace, opts, drained));
+      EXPECT_EQ(drained, event_drained);
+      const auto whole = run_with(prog, trace, opts);
+      expect_identical(event, whole);
+
+      std::vector<std::string> blobs;
+      SimOptions copts = opts;
+      copts.checkpoint_interval = std::max<Cycle>(1, whole.cycles_run / 2);
+      copts.checkpoint_sink = [&blobs](Cycle, std::string&& blob) {
+        blobs.push_back(std::move(blob));
+      };
+      (void)run_with(prog, trace, copts);
+      ASSERT_FALSE(blobs.empty());
+      SimOptions ropts = opts;
+      ropts.record_egress = true;
+      ropts.track_flow_reordering = true;
+      Mp5Simulator restored(prog, ropts);
+      VectorTraceSource source(trace);
+      expect_identical(event, restored.resume(source, blobs.front()));
+    }
+  }
 }
 
 TEST(EventEngine, ParanoidChecksValidateActivityBitmap) {
+  // The watchdog cross-checks every clear activity bit against the cell's
+  // occupancy under both walks: the dense reference keeps the same bitmap.
   const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
   SyntheticConfig config;
   config.stateful_stages = 4;
@@ -313,12 +421,11 @@ TEST(EventEngine, ParanoidChecksValidateActivityBitmap) {
   const auto trace = make_synthetic_trace(config);
 
   auto opts = mp5_options(4, 4);
+  opts.paranoid_checks = true;
+  opts.engine = SimEngine::kLockstep;
+  const auto reference = run_with(prog, trace, opts);
   opts.engine = SimEngine::kEvent;
-  opts.paranoid_checks = true; // the watchdog cross-checks bit vs occupancy
-  auto lockstep_opts = mp5_options(4, 4);
-  lockstep_opts.engine = SimEngine::kLockstep;
-  expect_identical(run_with(prog, trace, lockstep_opts),
-                   run_with(prog, trace, opts));
+  expect_identical(reference, run_with(prog, trace, opts));
 }
 
 TEST(EventEngine, EngineStringRoundTrip) {
@@ -363,9 +470,9 @@ TEST(FastForward, IdenticalResultsOnSparseTrace) {
 }
 
 TEST(FastForward, DisablingItStepsEveryCycleUnderEitherWalk) {
-  // fast_forward = false must step every cycle under both walks (the
-  // run loop peeks the source at least once per stepped cycle), and
-  // fast_forward = true must skip under both.
+  // The dense reference steps every cycle whatever fast_forward says (the
+  // run loop peeks the source at least once per stepped cycle); the event
+  // walk skips if and only if fast_forward is on.
   const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
   SyntheticConfig config;
   config.stateful_stages = 3;
@@ -386,7 +493,7 @@ TEST(FastForward, DisablingItStepsEveryCycleUnderEitherWalk) {
       PeekCountingSource source(trace);
       const SimResult result = sim.run(source);
       EXPECT_GT(result.cycles_run, 10000u);
-      if (ff) {
+      if (ff && walk == SimEngine::kEvent) {
         EXPECT_LT(source.peeks(), result.cycles_run / 4);
       } else {
         EXPECT_GE(source.peeks(), result.cycles_run);
@@ -397,9 +504,9 @@ TEST(FastForward, DisablingItStepsEveryCycleUnderEitherWalk) {
 
 TEST(FastForward, IdenticalUnderFaultPlan) {
   // A stage stall plus a lane fail/recover over a sparse trace: the event
-  // walk skips between the fault boundaries, lockstep does not skip at
-  // all. Skip on versus skip off must be bit-identical under both walks,
-  // cycles_run and stalled_cycles included.
+  // walk skips between the fault boundaries, the dense reference does not
+  // skip at all. fast_forward on versus off must be bit-identical under
+  // both walks, cycles_run and stalled_cycles included.
   const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
   SyntheticConfig config;
   config.stateful_stages = 3;
@@ -454,9 +561,10 @@ TEST(FastForward, IdenticalUnderRealisticChannelAndRemap) {
 // --- incremental D2 accounting -------------------------------------------
 
 TEST(IncrementalSharding, SimResultMatchesReferenceRebalance) {
-  // The incremental O(touched) rebalance must be decision-for-decision
-  // identical to the full-scan reference, so routing the simulator through
-  // either path yields the same SimResult, field by field.
+  // The event walk rebalances through the incremental O(touched) path and
+  // the dense reference through the full scan; the two must make the same
+  // decision at every boundary, so the SimResults match field by field. A
+  // short remap period makes boundaries (and moves) frequent.
   const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
   for (const std::uint32_t k : {2u, 4u}) {
     SyntheticConfig config;
@@ -471,9 +579,14 @@ TEST(IncrementalSharding, SimResultMatchesReferenceRebalance) {
         SCOPED_TRACE(std::string(variant.name) + " k=" + std::to_string(k) +
                      " seed=" + std::to_string(seed));
         auto opts = variant.make(k, seed);
-        opts.reference_rebalance = true;
+        opts.remap_period = 7;
+        opts.engine = SimEngine::kLockstep;
         const auto reference = run_with(prog, trace, opts);
-        opts.reference_rebalance = false;
+        if (opts.sharding == ShardingPolicy::kDynamic ||
+            opts.sharding == ShardingPolicy::kIdealLpt) {
+          EXPECT_GT(reference.remap_moves, 0u); // boundaries really move
+        }
+        opts.engine = SimEngine::kEvent;
         expect_identical(reference, run_with(prog, trace, opts));
       }
     }
@@ -481,6 +594,8 @@ TEST(IncrementalSharding, SimResultMatchesReferenceRebalance) {
 }
 
 TEST(IncrementalSharding, SimResultMatchesReferenceUnderFaultPlan) {
+  // Lane failures re-home indices between rebalances; both rebalance
+  // paths must then see the same maps and in-flight counters.
   const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
   SyntheticConfig config;
   config.stateful_stages = 4;
@@ -490,20 +605,23 @@ TEST(IncrementalSharding, SimResultMatchesReferenceUnderFaultPlan) {
   const auto trace = make_synthetic_trace(config);
 
   auto opts = mp5_options(8, 1);
+  opts.remap_period = 7;
   opts.faults.pipeline_faults.push_back(PipelineFault{2, 150, 600});
   opts.faults.pipeline_faults.push_back(PipelineFault{5, 300, kNeverRecovers});
-  opts.reference_rebalance = true;
+  opts.engine = SimEngine::kLockstep;
   const auto reference = run_with(prog, trace, opts);
   EXPECT_GT(reference.fault_remapped_indices, 0u); // the plan actually bites
-  opts.reference_rebalance = false;
+  EXPECT_GT(reference.remap_moves, 0u);
+  opts.engine = SimEngine::kEvent;
   expect_identical(reference, run_with(prog, trace, opts));
 }
 
 TEST(FastForward, SkipsEmptyWindowRemapBoundariesBitIdentically) {
   // A sparse trace leaves many remap windows with an empty touched list.
-  // window_dirty() lets fast-forward skip those boundaries entirely — the
-  // results must match the cycle-by-cycle walk AND the full-scan reference
-  // path (which steps every boundary) bit for bit.
+  // window_dirty() lets the event walk skip those boundaries entirely —
+  // the results must match the event walk stepping every cycle AND the
+  // dense reference (which steps every boundary through the full-scan
+  // rebalance) bit for bit.
   const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
   SyntheticConfig config;
   config.stateful_stages = 3;
@@ -514,23 +632,19 @@ TEST(FastForward, SkipsEmptyWindowRemapBoundariesBitIdentically) {
                        // periods pass with nothing touched
   const auto trace = make_synthetic_trace(config);
 
-  for (const SimEngine walk : kWalks) {
-    for (const auto& variant : kVariants) {
-      SCOPED_TRACE(std::string(variant.name) + " " + to_string(walk));
-      auto opts = variant.make(4, 2);
-      opts.engine = walk;
-      opts.fast_forward = false;
-      opts.reference_rebalance = true;
-      const auto slow_reference = run_with(prog, trace, opts);
-      // The trace spans several remap periods, so empty-window boundaries
-      // really occur between the sparse arrivals.
-      EXPECT_GT(slow_reference.cycles_run, 10 * opts.remap_period);
-      opts.reference_rebalance = false;
-      const auto slow = run_with(prog, trace, opts);
-      expect_identical(slow_reference, slow);
-      opts.fast_forward = true;
-      expect_identical(slow, run_with(prog, trace, opts));
-    }
+  for (const auto& variant : kVariants) {
+    SCOPED_TRACE(variant.name);
+    auto opts = variant.make(4, 2);
+    opts.engine = SimEngine::kLockstep;
+    const auto reference = run_with(prog, trace, opts);
+    // The trace spans several remap periods, so empty-window boundaries
+    // really occur between the sparse arrivals.
+    EXPECT_GT(reference.cycles_run, 10 * opts.remap_period);
+    opts.engine = SimEngine::kEvent;
+    opts.fast_forward = false;
+    expect_identical(reference, run_with(prog, trace, opts));
+    opts.fast_forward = true;
+    expect_identical(reference, run_with(prog, trace, opts));
   }
 }
 

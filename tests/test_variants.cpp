@@ -83,8 +83,6 @@ const std::vector<KnobCase>& mp5_only_knobs() {
       {"engine", [](SimOptions& o) { o.engine = SimEngine::kLockstep; }},
       {"sharding",
        [](SimOptions& o) { o.sharding = ShardingPolicy::kStaticRandom; }},
-      {"reference_rebalance",
-       [](SimOptions& o) { o.reference_rebalance = true; }},
       {"phantoms", [](SimOptions& o) { o.phantoms = false; }},
       {"realistic_phantom_channel",
        [](SimOptions& o) { o.realistic_phantom_channel = true; }},

@@ -20,11 +20,6 @@
 //                           every other design
 //   --pipelines K  --packets N  --seed S  --load F
 //   --fifo-capacity N  --remap N  --flow-order f1,f2
-//   --no-fast-forward       step idle cycles one by one (identical
-//                           results; for measuring the raw cycle loop)
-//   --engine event|lockstep cycle walk (MP5 designs only; default event,
-//                           which visits only occupied cells; lockstep is
-//                           the dense reference walk, bit-identical)
 //   --check-equivalence     verify vs the single-pipeline reference
 //   --save-trace file.csv   store the generated trace
 // Checkpoint/restore (MP5 and replicated designs; see DESIGN.md "Soak &
@@ -65,7 +60,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 
 #include "apps/programs.hpp"
@@ -108,8 +102,6 @@ struct Args {
   double load = 1.0;
   std::size_t fifo_capacity = 0;
   std::uint32_t remap = 100;
-  bool fast_forward = true;
-  std::optional<SimEngine> engine; // unset = the design's default walk
   std::vector<std::string> flow_order_fields;
   bool check_equivalence = false;
   std::uint64_t timeline = 0; // print the first N simulator events
@@ -184,8 +176,6 @@ Args parse_args(int argc, char** argv) {
     else if (arg == "--fifo-capacity") args.fifo_capacity = std::stoull(next());
     else if (arg == "--remap") args.remap =
         static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--no-fast-forward") args.fast_forward = false;
-    else if (arg == "--engine") args.engine = engine_from_string(next());
     else if (arg == "--flow-order") args.flow_order_fields = split_csv(next());
     else if (arg == "--check-equivalence") args.check_equivalence = true;
     else if (arg == "--timeline") args.timeline = std::stoull(next());
@@ -328,10 +318,6 @@ int run(int argc, char** argv) {
           "fault injection / --paranoid apply to the MP5 designs only, not "
           "recirc");
     }
-    if (args.engine.has_value()) {
-      throw ConfigError(
-          "--engine applies to the MP5 designs only, not recirc");
-    }
     if (args.checkpoint_interval != 0 || !args.restore_from.empty()) {
       throw ConfigError(
           "--checkpoint-interval/--restore apply to the MP5 designs only, "
@@ -344,17 +330,11 @@ int run(int argc, char** argv) {
           "--telemetry/--trace-out apply to the MP5 designs only, not "
           "recirc");
     }
-    // The remaining knobs used to be accepted and silently ignored
-    // (ISSUE 10 validation sweep): recirc has no stage FIFOs, no idle
-    // fast-forward path, no phantom channel and no timeline hook.
+    // The remaining knobs are rejected rather than silently ignored:
+    // recirc has no stage FIFOs, no phantom channel and no timeline hook.
     if (args.fifo_capacity != 0) {
       throw ConfigError(
           "--fifo-capacity applies to the MP5 designs only, not recirc");
-    }
-    if (!args.fast_forward) {
-      throw ConfigError(
-          "--no-fast-forward applies to the MP5 and replicated designs "
-          "only, not recirc");
     }
     if (args.phantom_channel) {
       throw ConfigError(
@@ -390,14 +370,6 @@ int run(int argc, char** argv) {
     if (args.staleness != 0) opts.staleness_bound = args.staleness;
     opts.fifo_capacity = args.fifo_capacity;
     opts.remap_period = args.remap;
-    opts.fast_forward = args.fast_forward;
-    if (args.engine.has_value()) {
-      if (opts.variant != DesignVariant::kMp5) {
-        throw ConfigError("--engine applies to the MP5 designs only, not " +
-                          args.design);
-      }
-      opts.engine = *args.engine;
-    }
     opts.record_egress = args.check_equivalence;
     opts.faults = args.faults;
     if (args.phantom_channel) opts.realistic_phantom_channel = true;

@@ -26,8 +26,6 @@
 //   --flows N --field-bound B --seed S
 // Simulator:
 //   --pipelines K --fifo-capacity N --remap N --paranoid
-//   --engine event|lockstep  cycle walk (default event; lockstep is the
-//                       dense reference walk, bit-identical results)
 //   --max-cycles N      override the derived safety ceiling
 //   --fail-pipeline P@CYCLE[:RECOVER]   fault plan entry (repeatable)
 // Soak mode:
@@ -128,8 +126,6 @@ Args parse_args(int argc, char** argv) {
       args.soak.sim.fifo_capacity = std::stoull(next());
     else if (arg == "--remap")
       args.soak.sim.remap_period = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--engine")
-      args.soak.sim.engine = engine_from_string(next());
     else if (arg == "--paranoid") args.soak.sim.paranoid_checks = true;
     else if (arg == "--max-cycles") args.max_cycles_override = std::stoull(next());
     else if (arg == "--fail-pipeline")

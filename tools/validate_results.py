@@ -250,15 +250,16 @@ def validate_repro(doc, where):
     for key in ("pipelines", "remap_period"):
         if require(config, key, int, cwhere) < 1:
             fail(f"{cwhere}: {key} must be >= 1")
-    # Written only by older files (the parallel lane engine); ignored on
-    # replay, but still type-checked where present.
+    # Written only by older files (the parallel lane engine, the rebalance
+    # switch); ignored on replay, but still type-checked where present.
     if "threads" in config and require(config, "threads", int, cwhere) < 1:
         fail(f"{cwhere}: threads must be >= 1")
+    if "reference_rebalance" in config:
+        require(config, "reference_rebalance", bool, cwhere)
     sharding = require(config, "sharding", str, cwhere)
     if sharding not in FUZZ_SHARDING:
         fail(f"{cwhere}: sharding '{sharding}' not in {sorted(FUZZ_SHARDING)}")
     require(config, "fast_forward", bool, cwhere)
-    require(config, "reference_rebalance", bool, cwhere)
     if require(config, "fifo_capacity", int, cwhere) < 0:
         fail(f"{cwhere}: fifo_capacity must be >= 0")
     require(config, "seed", int, cwhere)
