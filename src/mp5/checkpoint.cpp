@@ -480,6 +480,9 @@ Cycle Mp5Simulator::restore_state(ByteReader& r,
 }
 
 void Mp5Simulator::do_checkpoint(Cycle now) {
+  // Parked cells owe blocked cycles to result_ and telemetry; settle them
+  // so the blob holds exactly the dense walk's counts.
+  unpark_all();
   opts_.checkpoint_sink(
       now, frame_checkpoint(config_fingerprint(*prog_, opts_), now,
                             serialize_state(now)));

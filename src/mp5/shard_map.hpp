@@ -194,7 +194,10 @@ private:
   /// Telemetry + dirty-flag epilogue shared by both rebalance paths.
   void finish_rebalance(std::size_t moves, std::uint64_t touched);
 
-  std::size_t rebalance_one(RegId reg);      // Figure 6, O(touched + members[hi] on cold fallback)
+  // Figure 6, O(touched), plus an ascending scan to the first cold index
+  // on H when no touched index qualifies: a few indices when one exists,
+  // the whole register (k x |members[H]|) when none does.
+  std::size_t rebalance_one(RegId reg);
   std::size_t rebalance_lpt(RegId reg);      // ideal LPT re-shard, O(touched log touched)
   std::size_t rebalance_one_reference(RegId reg); // Figure 6, full scan
   std::size_t rebalance_lpt_reference(RegId reg); // LPT, full scan

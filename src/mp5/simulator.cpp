@@ -128,6 +128,8 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
   event_engine_ = opts_.engine == SimEngine::kEvent;
   lane_words_ = (k_ + 63) / 64;
   active_.assign(static_cast<std::size_t>(num_stages_) * lane_words_, 0);
+  parked_step_.assign(cells, 0);
+  parked_stalls_.assign(cells, 0);
 
 #if MP5_TELEMETRY_COMPILED
   if (opts_.telemetry != nullptr) {
@@ -153,6 +155,8 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
     t_egress_latency_ = &tscope_.histogram("sim.egress_latency", 1.0, 128);
   }
 #endif
+  park_ = event_engine_ && !opts_.timeline &&
+          (telem_ == nullptr || !telem_->events_enabled());
 }
 
 // ---------------------------------------------------------------------------
@@ -265,6 +269,7 @@ SimResult Mp5Simulator::run_loop(TraceSource& source, Cycle start_cycle) {
 }
 
 void Mp5Simulator::step_cycle(Cycle now) {
+  ++steps_;
   // 0c. Scheduled faults fire at the cycle boundary, before arrivals,
   //     so packets admitted this cycle already see the new lane set.
   if (fault_sched_.any()) {
@@ -334,6 +339,7 @@ void Mp5Simulator::step_cycle(Cycle now) {
 }
 
 SimResult Mp5Simulator::finalize(Cycle now) {
+  unpark_all(); // an externally clocked run may finish mid-flight
   source_ = nullptr;
   result_.cycles_run = now;
   result_.final_registers = state_->storage();
@@ -377,6 +383,8 @@ bool Mp5Simulator::activity_all_clear() const {
 
 void Mp5Simulator::rebuild_activity() {
   std::fill(active_.begin(), active_.end(), 0);
+  std::fill(parked_step_.begin(), parked_step_.end(), 0);
+  std::fill(parked_stalls_.begin(), parked_stalls_.end(), 0);
   for (PipelineId p = 0; p < k_; ++p) {
     for (StageId st = 0; st < num_stages_; ++st) {
       const std::size_t c = cell(p, st);
@@ -390,10 +398,11 @@ void Mp5Simulator::rebuild_activity() {
 void Mp5Simulator::walk_event(Cycle now) {
   // The dense walk's order — stages descending, lanes ascending — over the
   // set bits only. A visited cell's bit is cleared once the cell is empty
-  // again; bits this walk sets itself (a processed packet advancing into
-  // stage st + 1) always land in rows already behind the cursor, exactly
-  // like arrivals landing in already-processed downstream cells. Bits at
-  // or above k are never set, so the last word needs no mask.
+  // again or parked; bits this walk sets itself (a processed packet
+  // advancing into stage st + 1, a guard cancelling a later stage's
+  // phantom) always land in rows already behind the cursor, exactly like
+  // arrivals landing in already-processed downstream cells. Bits at or
+  // above k are never set, so the last word needs no mask.
   for (StageId st = num_stages_; st-- > 0;) {
     const std::size_t row = static_cast<std::size_t>(st) * lane_words_;
     for (std::uint32_t widx = 0; widx < lane_words_; ++widx) {
@@ -403,9 +412,36 @@ void Mp5Simulator::walk_event(Cycle now) {
             static_cast<PipelineId>((widx << 6) + std::countr_zero(word));
         word &= word - 1;
         if (!lane_alive_[p]) continue; // failure already drained the lane
-        step_cell(p, st, now);
-        if (fifos_[cell(p, st)].size() == 0) clear_active(p, st);
+        const std::size_t c = cell(p, st);
+        if (parked_step_[c] != 0) settle_parked(c, steps_ - 1);
+        const bool blocked = step_cell(p, st, now);
+        if (blocked && park_) {
+          parked_step_[c] = steps_;
+          clear_active(p, st);
+        } else if (fifos_[c].size() == 0) {
+          clear_active(p, st);
+        }
       }
+    }
+  }
+}
+
+void Mp5Simulator::settle_parked(std::size_t c, std::uint64_t through) {
+  const std::uint64_t blocked =
+      through - parked_step_[c] - parked_stalls_[c];
+  result_.blocked_cycles += blocked;
+  fifos_[c].add_blocked_pops(blocked);
+  parked_step_[c] = 0;
+  parked_stalls_[c] = 0;
+}
+
+void Mp5Simulator::unpark_all() {
+  for (PipelineId p = 0; p < k_; ++p) {
+    for (StageId st = 0; st < num_stages_; ++st) {
+      const std::size_t c = cell(p, st);
+      if (parked_step_[c] == 0) continue;
+      settle_parked(c, steps_);
+      mark_active(p, st);
     }
   }
 }
@@ -428,7 +464,11 @@ void Mp5Simulator::account_skipped_stalls(Cycle now) {
       counted = t.pipeline == s.pipeline && t.stage == s.stage &&
                 now >= t.from && now < t.until;
     }
-    if (!counted) ++skipped;
+    if (counted) continue;
+    ++skipped;
+    // A parked cell's skipped step is stalled, not blocked.
+    const std::size_t c = cell(s.pipeline, s.stage);
+    if (parked_step_[c] != 0) ++parked_stalls_[c];
   }
   if (skipped != 0) {
     result_.stalled_cycles += skipped;
@@ -597,6 +637,7 @@ void Mp5Simulator::fail_lane(PipelineId p, Cycle now) {
   ingress_[p].clear();
   for (StageId st = 0; st < num_stages_; ++st) {
     const std::size_t c = cell(p, st);
+    if (parked_step_[c] != 0) settle_parked(c, steps_ - 1);
     for (std::uint32_t i = 0; i < arrival_count_[c]; ++i) {
       doomed.push_back(arrival_slots_[c * k_ + i].ref);
     }
@@ -651,9 +692,9 @@ void Mp5Simulator::fail_lane(PipelineId p, Cycle now) {
         }
       }
       arrival_count_[c] = kept;
-      for (const PacketRef ref : fifos_[c].extract_data_if(doomed_pred)) {
-        doomed.push_back(ref);
-      }
+      const auto extracted = fifos_[c].extract_data_if(doomed_pred);
+      if (!extracted.empty()) mark_active(q, st); // the FIFO changed
+      doomed.insert(doomed.end(), extracted.begin(), extracted.end());
     }
   }
 
@@ -699,6 +740,10 @@ void Mp5Simulator::check_invariants(Cycle now) const {
   const bool check_order =
       opts_.phantoms && opts_.faults.phantom_delay_rate == 0.0;
   std::uint64_t in_containers = 0;
+  // Seqs of the packets inside the switch, and the parked cells, for the
+  // parked-cell checks after the scan.
+  std::unordered_set<SeqNo> live_seqs;
+  std::vector<std::size_t> parked;
   for (PipelineId p = 0; p < k_; ++p) {
     if (!lane_alive_[p] && !ingress_[p].empty()) {
       throw InvariantError("dead-lane", now,
@@ -706,6 +751,9 @@ void Mp5Simulator::check_invariants(Cycle now) const {
                                " has queued ingress packets");
     }
     in_containers += ingress_[p].size();
+    for (const PacketRef ref : ingress_[p]) {
+      live_seqs.insert(arena_.get(ref).seq);
+    }
     for (StageId st = 0; st < num_stages_; ++st) {
       const std::size_t c = cell(p, st);
       const auto& fifo = fifos_[c];
@@ -717,10 +765,30 @@ void Mp5Simulator::check_invariants(Cycle now) const {
                                  std::to_string(st));
       }
       in_containers += arrival_count_[c];
-      if (!cell_active(p, st) &&
-          (fifo.size() != 0 || arrival_count_[c] != 0)) {
-        // A clear activity bit must prove the cell empty — a stale clear
-        // would make the event walk silently skip real work.
+      for (std::uint32_t i = 0; i < arrival_count_[c]; ++i) {
+        live_seqs.insert(arena_.get(arrival_slots_[c * k_ + i].ref).seq);
+      }
+      if (parked_step_[c] != 0) {
+        // Parked: the bit is clear until a wake sets it; the next visit
+        // then settles the parked steps.
+        if (!park_ || !lane_alive_[p]) {
+          throw InvariantError("event-activity", now,
+                               "cell (" + std::to_string(p) + ", " +
+                                   std::to_string(st) +
+                                   ") is parked outside the parking walk");
+        }
+        parked.push_back(c);
+      }
+      if (!cell_active(p, st) && arrival_count_[c] != 0) {
+        throw InvariantError("event-activity", now,
+                             "cell (" + std::to_string(p) + ", " +
+                                 std::to_string(st) +
+                                 ") has arrivals but its activity bit is "
+                                 "clear");
+      }
+      if (!cell_active(p, st) && fifo.size() != 0 && parked_step_[c] == 0) {
+        // A clear activity bit must prove the cell empty or parked — a
+        // stale clear would make the event walk silently skip real work.
         throw InvariantError("event-activity", now,
                              "cell (" + std::to_string(p) + ", " +
                                  std::to_string(st) +
@@ -737,6 +805,7 @@ void Mp5Simulator::check_invariants(Cycle now) const {
                                "arena slot");
         }
         const Packet& pkt = arena_.get(entry.ref);
+        live_seqs.insert(pkt.seq);
         // Invariant 2: only packets awaiting stateful processing at this
         // very cell may be queued here.
         bool awaiting_here = false;
@@ -767,6 +836,29 @@ void Mp5Simulator::check_invariants(Cycle now) const {
                              " live arena slots but " +
                              std::to_string(in_containers) +
                              " packets queued");
+  }
+  for (const std::size_t c : parked) {
+    // Parking is sound only while the head is a placeholder whose data
+    // packet is still coming: its insert (or its drop's cancel) wakes the
+    // cell. A woken cell (bit set again) is settled at its next visit and
+    // may already have moved on.
+    if (cell_active(static_cast<PipelineId>(c / num_stages_),
+                    static_cast<StageId>(c % num_stages_))) {
+      continue;
+    }
+    if (live_packets_ == 0) {
+      throw InvariantError("event-activity", now,
+                           "cell " + std::to_string(c) +
+                               " is parked with no packet in flight");
+    }
+    const FifoEntry* head = fifos_[c].head();
+    if (head == nullptr || head->kind != FifoEntry::Kind::kPhantom ||
+        live_seqs.count(head->seq) == 0) {
+      throw InvariantError("event-activity", now,
+                           "parked cell " + std::to_string(c) +
+                               " is not blocked on the phantom of a live "
+                               "packet");
+    }
   }
   if (opts_.realistic_phantom_channel) {
     if (channel_index_.size() != channel_live_) {
@@ -943,7 +1035,7 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
   ingress_[admit_lane].push_back(ref);
 }
 
-void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
+bool Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
   // Injected transient stall: the cell has no processing slot this cycle.
   // FIFO inserts still happen (they are memory operations, not processing)
   // but nothing is served — a stateless arrival must be dropped, since
@@ -1054,30 +1146,31 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
         // never queued.
         emit(TimelineEvent::Kind::kPassThrough, now, p, st, pt_seq);
         process_packet(passthrough, p, st, /*from_fifo=*/false, now);
-        return;
+        return false;
       }
     }
   }
-  if (stalled) return; // no processing slot: the FIFO is not served
+  if (stalled) return false; // no processing slot: the FIFO is not served
 
   auto popped = fifo.pop();
   switch (popped.kind) {
     case StageFifo::PopResult::Kind::kIdle:
-      return;
+      return false;
     case StageFifo::PopResult::Kind::kBlocked:
       ++result_.blocked_cycles;
       emit(TimelineEvent::Kind::kBlocked, now, p, st, kInvalidSeqNo);
-      return;
+      return true;
     case StageFifo::PopResult::Kind::kWasted:
       ++result_.wasted_cycles;
       emit(TimelineEvent::Kind::kPopWasted, now, p, st, kInvalidSeqNo);
-      return;
+      return false;
     case StageFifo::PopResult::Kind::kData:
       emit(TimelineEvent::Kind::kPopData, now, p, st,
            arena_.get(popped.ref).seq);
       process_packet(popped.ref, p, st, /*from_fifo=*/true, now);
-      return;
+      return false;
   }
+  return false;
 }
 
 void Mp5Simulator::exec_stage_atoms(Packet& pkt, PipelineId p, StageId st,
@@ -1183,6 +1276,7 @@ void Mp5Simulator::cancel_entry(Packet& pkt, std::size_t entry_idx) {
   emit(TimelineEvent::Kind::kCancel, 0, owner_acc.pipeline, owner_acc.stage,
        pkt.seq);
   fifo_at(owner_acc.pipeline, owner_acc.stage).cancel(pkt.seq);
+  mark_active(owner_acc.pipeline, owner_acc.stage); // wakes a parked cell
 }
 
 void Mp5Simulator::drop_packet(PacketRef ref, DropCause cause) {

@@ -34,7 +34,8 @@
 //     min-heap instead of a multimap.
 //   * The default walk (SimOptions::engine == kEvent) visits only the
 //     (lane, stage) cells whose activity bit is set, so a cycle costs
-//     O(occupied cells) instead of O(k x stages), and skips no-progress
+//     O(occupied cells) instead of O(k x stages); parks cells blocked on
+//     a phantom head until their FIFO changes; and skips no-progress
 //     cycle stretches arithmetically, also under fault plans
 //     (SimOptions::fast_forward; see DESIGN.md "Event-driven engine").
 //   * kLockstep is the dense reference: every cell, every cycle, no
@@ -132,7 +133,9 @@ public:
   /// True when no packet *or zombie phantom* occupies any structure — the
   /// precondition for the caller to skip this switch's cycles. The same
   /// activity bitmap is kept under both walks, so the answer after each
-  /// step does not depend on SimOptions::engine.
+  /// step does not depend on SimOptions::engine. (A parked cell clears its
+  /// bit but holds the phantom of a live packet, so live_packets_ != 0
+  /// whenever one exists.)
   bool drained() const { return live_packets_ == 0 && activity_all_clear(); }
   /// End the externally-clocked run at `end_cycle` and return the result
   /// (identical tail to run(): final registers, C1, sorted egress).
@@ -192,7 +195,9 @@ private:
 
   void admit(const TraceItem& item, Cycle now);
   void deliver_due_phantoms(Cycle now);
-  void step_cell(PipelineId p, StageId st, Cycle now);
+  /// Visit one cell. Returns true when the FIFO pop found a phantom head
+  /// (kBlocked) — the event walk's cue to park the cell.
+  bool step_cell(PipelineId p, StageId st, Cycle now);
   void process_packet(PacketRef ref, PipelineId p, StageId st, bool from_fifo,
                       Cycle now);
   void exec_stage_atoms(Packet& pkt, PipelineId p, StageId st, bool from_fifo);
@@ -227,14 +232,27 @@ private:
   //
   // One activity bit per (stage, lane) cell, set whenever the cell might
   // hold work (a FIFO entry or a pending arrival slot). Bits are set
-  // conservatively and cleared only at a visit that finds the cell empty
-  // (or when a whole lane is drained at failure), so a clear bit *proves*
-  // the cell is a no-op this cycle — the dense walk's step_cell on it
-  // would touch nothing. Stale *set* bits are harmless: the next stepped
-  // cycle visits the cell, finds it empty, and clears them. Both walks
-  // keep the bitmap (the dense walk clears exactly the bits the event
-  // walk would), so drained() and the paranoid check read the same
-  // state under either; only the event walk uses it to skip cells.
+  // conservatively and cleared in three places: at a visit that finds the
+  // cell empty, when a whole lane is drained at failure, and (event walk
+  // only) when a visit parks the cell. A clear bit therefore proves the
+  // dense walk's step_cell on the cell would either touch nothing or, for
+  // a parked cell, pop the same blocked phantom head again. Stale *set*
+  // bits are harmless: the next stepped cycle visits the cell, finds it
+  // empty, and clears them. Both walks keep the bitmap (the dense walk
+  // clears the empty-cell bits the event walk would), so drained() and the
+  // paranoid check read the same state under either; only the event walk
+  // uses it to skip cells.
+  //
+  // Parked cells. A cell whose pop returned kBlocked keeps returning it
+  // until its FIFO changes, and every FIFO change or arrival calls
+  // mark_active — which is the wake. So the event walk parks such a cell
+  // (clears its bit, records the step in parked_step_) and, at the next
+  // visit, charges the skipped steps arithmetically: each was one blocked
+  // cycle unless account_skipped_stalls already charged it as stalled.
+  // Wakes land at or behind the walk cursor (a guard resolved at stage s
+  // cancels phantoms at stages > s), so the count is exact. Parking is off
+  // while a per-event sink observes the walk (SimOptions::timeline or a
+  // telemetry event ring), which must see every kBlocked event.
 
   void mark_active(PipelineId p, StageId st) {
     active_[static_cast<std::size_t>(st) * lane_words_ + (p >> 6)] |=
@@ -257,13 +275,22 @@ private:
   /// never serialized.
   void rebuild_activity();
   /// Visit the active cells, last stage first, lanes ascending within
-  /// each stage — the dense walk's order minus its provable no-ops.
+  /// each stage — the dense walk's order minus its provable no-ops — and
+  /// park the cells whose visit blocked.
   void walk_event(Cycle now);
   /// The dense walk counts one stalled cycle per alive stalled cell per
-  /// cycle, even when the cell is empty. The event walk skips empty cells,
-  /// so the unvisited (bit-clear) stalled cells are counted arithmetically
-  /// here, before the walk mutates any bit.
+  /// cycle, even when the cell is empty or parked. The event walk skips
+  /// those cells, so the unvisited (bit-clear) stalled cells are counted
+  /// arithmetically here, before the walk mutates any bit.
   void account_skipped_stalls(Cycle now);
+  /// Charge a parked cell's skipped visits, steps parked_step_[c] + 1
+  /// through `through`, as blocked cycles (minus those charged as stalled)
+  /// and unpark it.
+  void settle_parked(std::size_t c, std::uint64_t through);
+  /// Settle every parked cell through the last stepped cycle and set its
+  /// bit again, so result_ and telemetry are final (finalize) or exactly
+  /// the dense walk's (checkpoint).
+  void unpark_all();
   /// Event-walk cycle skip target: the next cycle at which anything can
   /// happen — the next trace arrival, phantom-channel delivery, checkpoint
   /// boundary, lane fail/recover event or stall-covered cycle of an alive
@@ -364,6 +391,15 @@ private:
   std::uint32_t lane_words_ = 1;    // ceil(k_ / 64)
   /// Activity bitmap, [stage * lane_words_ + (lane >> 6)].
   std::vector<std::uint64_t> active_;
+  /// Event walk with no per-event sink attached: blocked cells may park.
+  bool park_ = false;
+  /// Index of the current (or last) step_cycle, counting from 1, so that
+  /// parked_step_ 0 means not parked.
+  std::uint64_t steps_ = 0;
+  /// Per cell: step index of the visit that parked it (0 = not parked),
+  /// and the stalled cycles account_skipped_stalls charged it since.
+  std::vector<std::uint64_t> parked_step_;
+  std::vector<std::uint64_t> parked_stalls_;
 
   // -- fault state --
   FaultSchedule fault_sched_;

@@ -9,13 +9,26 @@
 namespace mp5 {
 namespace {
 
-/// Locate an entry by seq in a seq-sorted deque.
+/// Locate an entry by seq in a per-index queue. The queue is in push
+/// order, which is seq order unless an injected phantom delay let a later
+/// packet's phantom arrive first. Bisect as for a sorted queue, and scan
+/// linearly only when that misses (such an out-of-order entry); the
+/// bisection is hand-rolled because std::lower_bound requires a
+/// partitioned range.
 FifoEntry* find_by_seq(std::deque<FifoEntry>& queue, SeqNo seq) {
-  auto it = std::lower_bound(
-      queue.begin(), queue.end(), seq,
-      [](const FifoEntry& e, SeqNo s) { return e.seq < s; });
-  if (it == queue.end() || it->seq != seq) return nullptr;
-  return &*it;
+  std::size_t lo = 0, hi = queue.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (queue[mid].seq < seq) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo < queue.size() && queue[lo].seq == seq) return &queue[lo];
+  auto it = std::find_if(queue.begin(), queue.end(),
+                         [seq](const FifoEntry& e) { return e.seq == seq; });
+  return it == queue.end() ? nullptr : &*it;
 }
 
 } // namespace
@@ -502,19 +515,47 @@ void StageFifo::load(ByteReader& r) {
   high_water_ = static_cast<std::size_t>(r.u64());
 }
 
-StageFifo::PopResult StageFifo::pop_lanes() {
-  PopResult result;
-  RingFifo<FifoEntry>* best = nullptr;
+std::size_t StageFifo::min_head_lane() const {
+  std::size_t best = lanes_.size();
   SeqNo best_seq = kInvalidSeqNo;
-  for (auto& lane : lanes_) {
-    if (lane.empty()) continue;
-    const SeqNo seq = lane.front().seq;
-    if (best == nullptr || seq < best_seq) {
-      best = &lane;
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    if (lanes_[i].empty()) continue;
+    const SeqNo seq = lanes_[i].front().seq;
+    if (best == lanes_.size() || seq < best_seq) {
+      best = i;
       best_seq = seq;
     }
   }
-  if (best == nullptr) return result; // kIdle
+  return best;
+}
+
+const FifoEntry* StageFifo::head() const {
+  if (!ideal_) {
+    const std::size_t lane = min_head_lane();
+    return lane == lanes_.size() ? nullptr : &lanes_[lane].front();
+  }
+  if (!eligible_.empty()) {
+    const auto& [seq, key] = *eligible_.begin();
+    return &queues_.at(key).front();
+  }
+  const FifoEntry* oldest = nullptr;
+  for (const auto& [key, queue] : queues_) {
+    if (oldest == nullptr || queue.front().seq < oldest->seq) {
+      oldest = &queue.front();
+    }
+  }
+  return oldest;
+}
+
+void StageFifo::add_blocked_pops([[maybe_unused]] std::uint64_t n) {
+  MP5_TELEM_ADD(t_pop_blocked_, n);
+}
+
+StageFifo::PopResult StageFifo::pop_lanes() {
+  PopResult result;
+  const std::size_t lane = min_head_lane();
+  if (lane == lanes_.size()) return result; // kIdle
+  RingFifo<FifoEntry>* best = &lanes_[lane];
   FifoEntry& head = best->front();
   switch (head.kind) {
     case FifoEntry::Kind::kPhantom:

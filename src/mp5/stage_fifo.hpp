@@ -14,6 +14,12 @@
 //                                 arrival-order state access), a cancelled
 //                                 phantom head costs one wasted cycle.
 //
+// A kBlocked pop changes nothing, and only an insert, cancel or drain can
+// unblock the next pop (a pushed phantom or a purge of queued data behind
+// the phantom head cannot) — so the simulator skips the repeated pops of
+// a blocked FIFO until the FIFO changes and reports them through
+// add_blocked_pops().
+//
 // Timestamps are the packets' global arrival sequence numbers. Within one
 // lane, phantoms are pushed in arrival order, so every lane is seq-sorted
 // and the smallest-head rule yields global arrival order.
@@ -86,6 +92,17 @@ public:
 
   PopResult pop();
 
+  /// The entry pop() would look at next: the smallest-seq lane head, or in
+  /// ideal mode the oldest eligible data head, else the oldest index-queue
+  /// head. nullptr when the FIFO is empty. Read-only (watchdog use).
+  const FifoEntry* head() const;
+
+  /// Count `n` blocked pops that were never executed: the simulator parks
+  /// a cell whose head is a phantom and skips its visits until something
+  /// mutates the FIFO, since each skipped visit would have popped kBlocked
+  /// (see Mp5Simulator "Parked cells"). Feeds fifo.pop_blocked only.
+  void add_blocked_pops(std::uint64_t n);
+
   std::size_t size() const { return live_entries_; }
   std::size_t high_water() const { return high_water_; }
 
@@ -141,6 +158,9 @@ private:
     return (static_cast<std::uint64_t>(reg) << 32) | index;
   }
 
+  /// Index of the lane whose head has the smallest seq (lanes_.size()
+  /// when every lane is empty) — the pop order of the non-ideal FIFO.
+  std::size_t min_head_lane() const;
   PopResult pop_lanes();
   PopResult pop_ideal();
   /// Drop cancelled entries from the front of an ideal per-index queue

@@ -282,6 +282,39 @@ TEST(CheckpointRestore, CrossEngineRestore) {
     std::string why;
     EXPECT_TRUE(same_results(baseline, result, &why)) << why;
   }
+
+  // Checkpoints taken while cells are parked on a blocked phantom head:
+  // the event walk settles their skipped blocked cycles before it writes
+  // the blob, so every blob is byte-identical to the dense reference's at
+  // the same boundary and restores under either walk.
+  EXPECT_GT(baseline.blocked_cycles, 0u);
+  const auto checkpoints_every_7 = [&](SimEngine walk) {
+    std::vector<std::string> out;
+    SimOptions o = opts;
+    o.engine = walk;
+    o.checkpoint_interval = 7;
+    o.checkpoint_sink = [&out](Cycle, std::string&& blob) {
+      out.push_back(std::move(blob));
+    };
+    (void)Mp5Simulator(prog, o).run(trace);
+    return out;
+  };
+  const std::vector<std::string> parked_blobs =
+      checkpoints_every_7(SimEngine::kEvent);
+  ASSERT_GT(parked_blobs.size(), 4u);
+  EXPECT_EQ(parked_blobs, checkpoints_every_7(SimEngine::kLockstep));
+  for (std::size_t i = 0; i < parked_blobs.size(); i += 3) {
+    for (const SimEngine walk : {SimEngine::kEvent, SimEngine::kLockstep}) {
+      SCOPED_TRACE("blob " + std::to_string(i) + " under " + to_string(walk));
+      SimOptions vopts = opts;
+      vopts.engine = walk;
+      Mp5Simulator sim(prog, vopts);
+      VectorTraceSource source(trace);
+      const SimResult result = sim.resume(source, parked_blobs[i]);
+      std::string why;
+      EXPECT_TRUE(same_results(baseline, result, &why)) << why;
+    }
+  }
 }
 
 TEST(CheckpointRestore, RejectsMismatchAndReuse) {

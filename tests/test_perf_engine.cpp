@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -424,8 +425,227 @@ TEST(EventEngine, ParanoidChecksValidateActivityBitmap) {
   opts.paranoid_checks = true;
   opts.engine = SimEngine::kLockstep;
   const auto reference = run_with(prog, trace, opts);
+  EXPECT_GT(reference.blocked_cycles, 0u); // the event walk parks cells
   opts.engine = SimEngine::kEvent;
   expect_identical(reference, run_with(prog, trace, opts));
+}
+
+// --- parked cells ----------------------------------------------------------
+//
+// With no per-event sink attached, the event walk parks a cell whose FIFO
+// head is a blocked phantom and charges the skipped cycles at the next
+// visit. Each scenario runs both walks with a counters-only telemetry
+// registry (event_capacity = 0, so parking stays on) and the watchdog on,
+// and requires identical SimResults and counter snapshots.
+
+struct Counted {
+  SimResult result;
+  std::map<std::string, std::uint64_t> counters;
+};
+
+Counted run_counted(const Mp5Program& prog, const Trace& trace,
+                    SimOptions opts) {
+  telemetry::Telemetry telem(telemetry::Config{/*event_capacity=*/0});
+  opts.telemetry = &telem;
+  opts.paranoid_checks = true;
+  Counted out;
+  out.result = run_with(prog, trace, opts);
+  out.counters = telem.counter_snapshot();
+  return out;
+}
+
+/// Runs `opts` under both walks (parking on); returns the reference run.
+SimResult expect_parked_walk_matches(const Mp5Program& prog,
+                                     const Trace& trace, SimOptions opts) {
+  opts.engine = SimEngine::kLockstep;
+  Counted reference = run_counted(prog, trace, opts);
+  opts.engine = SimEngine::kEvent;
+  const Counted event = run_counted(prog, trace, opts);
+  expect_identical(reference.result, event.result);
+  EXPECT_EQ(reference.counters, event.counters);
+  EXPECT_GT(reference.result.blocked_cycles, 0u); // cells really block
+  EXPECT_EQ(reference.counters.at("fifo.pop_blocked"),
+            reference.result.blocked_cycles);
+  return std::move(reference.result);
+}
+
+const struct {
+  const char* name;
+  SimOptions (*make)(std::uint32_t, std::uint64_t);
+} kQueueModes[] = {{"lanes", mp5_options}, {"ideal_queues", ideal_options}};
+
+TEST(EventEngine, ParkedCellsMatchReferenceAcrossStallWindows) {
+  // Stall windows open and close over cells parked on a blocked head: the
+  // stalled cycles of a parked cell are charged by account_skipped_stalls
+  // and must not be charged again as blocked when the cell wakes.
+  const auto prog = compile_mp5(apps::make_synthetic_source(4, 64));
+  for (const double load : {0.05, 0.8}) {
+    SyntheticConfig config;
+    config.stateful_stages = 4;
+    config.reg_size = 64;
+    config.pipelines = 4;
+    config.packets = 1500;
+    config.load = load;
+    const auto trace = make_synthetic_trace(config);
+    for (const auto& mode : kQueueModes) {
+      SCOPED_TRACE(std::string(mode.name) + " load " + std::to_string(load));
+      auto opts = mode.make(4, 9);
+      for (StageId st = 1; st <= 4; ++st) {
+        opts.faults.stalls.push_back(StageStall{st % 4, st, 40u * st,
+                                                40u * st + 300});
+      }
+      opts.faults.stalls.push_back(StageStall{2, 3, 100, 2000});
+      opts.faults.stalls.push_back(StageStall{2, 3, 1500, 2500}); // overlaps
+      const auto reference = expect_parked_walk_matches(prog, trace, opts);
+      EXPECT_GT(reference.stalled_cycles, 0u);
+    }
+  }
+}
+
+TEST(EventEngine, ParkedCellsWakeOnGuardCancellation) {
+  // A stateful predicate leaves conservative phantoms that are cancelled
+  // once the guard resolves upstream. A cell parked on such a head must
+  // wake for the cancel: its next pop is the wasted cycle of §3.3.
+  const auto prog = compile_mp5(apps::stateful_predicate_source());
+  for (const double load : {0.1, 1.0}) {
+    Rng rng(29);
+    const auto trace = trace_from_fields(
+        random_fields(2000, 3, 64, rng), 4, load);
+    for (const auto& mode : kQueueModes) {
+      SCOPED_TRACE(std::string(mode.name) + " load " + std::to_string(load));
+      const auto reference =
+          expect_parked_walk_matches(prog, trace, mode.make(4, 29));
+      if (std::string(mode.name) == "lanes") {
+        EXPECT_GT(reference.wasted_cycles, 0u);
+      }
+    }
+  }
+}
+
+TEST(EventEngine, ParkedCellsMatchReferenceUnderLaneFailure) {
+  // A lane failure settles the dying lane's parked cells, and purging a
+  // doomed packet from a surviving FIFO wakes that (possibly parked)
+  // cell; after recovery the lane parks again.
+  const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
+  SyntheticConfig config;
+  config.stateful_stages = 4;
+  config.reg_size = 256;
+  config.pipelines = 8;
+  config.packets = 3000;
+  config.load = 0.6;
+  const auto trace = make_synthetic_trace(config);
+  for (const auto& mode : kQueueModes) {
+    SCOPED_TRACE(mode.name);
+    auto opts = mode.make(8, 1);
+    opts.faults.pipeline_faults.push_back(PipelineFault{2, 150, 600});
+    opts.faults.pipeline_faults.push_back(
+        PipelineFault{5, 300, kNeverRecovers});
+    const auto reference = expect_parked_walk_matches(prog, trace, opts);
+    EXPECT_GT(reference.dropped_fault, 0u);
+    EXPECT_EQ(reference.pipeline_recoveries, 1u);
+  }
+}
+
+TEST(EventEngine, ParkedCellsMatchReferenceOnRealisticChannel) {
+  // Delayed phantoms reach their FIFO late (possibly as pre-cancelled
+  // zombies behind a parked head) and lost ones orphan their data packet;
+  // every delivery and cancel wakes the cell.
+  const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
+  SyntheticConfig config;
+  config.stateful_stages = 4;
+  config.reg_size = 256;
+  config.pipelines = 4;
+  config.packets = 3000;
+  config.load = 0.5;
+  const auto trace = make_synthetic_trace(config);
+  for (const auto& mode : kQueueModes) {
+    SCOPED_TRACE(mode.name);
+    auto opts = mode.make(4, 3);
+    opts.realistic_phantom_channel = true;
+    opts.faults.phantom_loss_rate = 0.02;
+    opts.faults.phantom_delay_rate = 0.05;
+    opts.faults.phantom_extra_delay = 12;
+    const auto reference = expect_parked_walk_matches(prog, trace, opts);
+    EXPECT_GT(reference.phantom_lost, 0u);
+    EXPECT_GT(reference.phantom_delayed, 0u);
+  }
+}
+
+TEST(EventEngine, ParkedCellsSettleUnderExternalClocking) {
+  // begin/step/finish: the stepped run settles its parked cells in
+  // finish(), also when finish() ends the run with packets in flight.
+  const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
+  SyntheticConfig config;
+  config.stateful_stages = 3;
+  config.reg_size = 128;
+  config.pipelines = 4;
+  config.packets = 600;
+  config.load = 0.05;
+  const auto trace = make_synthetic_trace(config);
+
+  auto opts = mp5_options(4, 6);
+  opts.faults.stalls.push_back(StageStall{2, 1, 300, 900});
+  const auto stepped = [&](SimEngine walk, telemetry::Telemetry& telem) {
+    SimOptions o = opts;
+    o.engine = walk;
+    o.telemetry = &telem;
+    std::vector<bool> drained;
+    return run_stepped(prog, trace, o, drained);
+  };
+  telemetry::Telemetry ref_telem(telemetry::Config{/*event_capacity=*/0});
+  telemetry::Telemetry event_telem(telemetry::Config{/*event_capacity=*/0});
+  const auto reference = stepped(SimEngine::kLockstep, ref_telem);
+  EXPECT_GT(reference.blocked_cycles, 0u);
+  expect_identical(reference, stepped(SimEngine::kEvent, event_telem));
+  EXPECT_EQ(ref_telem.counter_snapshot(), event_telem.counter_snapshot());
+
+  // Cut the run short mid-flight: from each cut cycle on, step until
+  // packets are in flight, then finish there.
+  for (const Cycle cut : {Cycle{57}, Cycle{313}, Cycle{1001}}) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    std::vector<SimResult> results;
+    std::vector<std::map<std::string, std::uint64_t>> counters;
+    for (const SimEngine walk : kWalks) {
+      telemetry::Telemetry telem(telemetry::Config{/*event_capacity=*/0});
+      SimOptions o = opts;
+      o.engine = walk;
+      o.telemetry = &telem;
+      o.record_egress = true;
+      Mp5Simulator sim(prog, o);
+      VectorTraceSource source(trace);
+      sim.begin(source);
+      Cycle now = 0;
+      while (now < cut || sim.live_packets() == 0) sim.step(now++);
+      results.push_back(sim.finish(now));
+      counters.push_back(telem.counter_snapshot());
+    }
+    expect_identical(results[0], results[1]);
+    EXPECT_EQ(counters[0], counters[1]);
+    EXPECT_LT(results[0].egressed, results[0].offered); // really mid-flight
+  }
+}
+
+TEST(EventEngine, TimelineHookLeavesResultUnchanged) {
+  // A timeline sink must see every per-cycle kBlocked event, so attaching
+  // one turns parking off; the SimResult must not notice.
+  const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
+  SyntheticConfig config;
+  config.stateful_stages = 4;
+  config.reg_size = 256;
+  config.pipelines = 4;
+  config.packets = 1500;
+  config.load = 0.3;
+  const auto trace = make_synthetic_trace(config);
+
+  auto opts = mp5_options(4, 12);
+  const auto parked = run_with(prog, trace, opts);
+  std::uint64_t blocked_events = 0;
+  opts.timeline = [&blocked_events](const TimelineEvent& e) {
+    if (e.kind == TimelineEvent::Kind::kBlocked) ++blocked_events;
+  };
+  expect_identical(parked, run_with(prog, trace, opts));
+  EXPECT_GT(blocked_events, 0u);
+  EXPECT_EQ(blocked_events, parked.blocked_cycles);
 }
 
 TEST(EventEngine, EngineStringRoundTrip) {

@@ -323,6 +323,83 @@ TEST(ShardMapEquivalence, ColdIndexFallbackMatchesReference) {
   }
 }
 
+TEST(ShardMapEquivalence, ColdFallbackFirstHitMatchesReferenceOnSkewedMap) {
+  // The cold fallback walks the indices ascending and stops at the first
+  // untouched, idle index on the hot lane H. Skewed windows (one hammered
+  // high index, so no touched candidate on H is below the threshold) make
+  // it run nearly every window, while low indices are moved around by
+  // earlier cold moves, touched this window, or still in flight from the
+  // previous one — all of which the first-hit walk must step past exactly
+  // like the reference's full scan.
+  for (const std::uint32_t k : {2u, 4u, 8u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " seed=" + std::to_string(seed));
+      const auto specs = one_reg(256);
+      ShardedState inc(specs, {true}, k, ShardingPolicy::kDynamic, Rng(seed));
+      ShardedState ref(specs, {true}, k, ShardingPolicy::kDynamic, Rng(seed));
+      const auto both_resolve = [&](RegIndex i) {
+        inc.note_resolved(0, i);
+        ref.note_resolved(0, i);
+      };
+      const auto both_complete = [&](RegIndex i) {
+        inc.note_completed(0, i);
+        ref.note_completed(0, i);
+      };
+      Rng ops(seed * 104729 + k);
+      std::vector<RegIndex> in_flight; // resolved last window, not done
+      std::size_t cold_moves = 0;
+      // Cold moves whose winner lies above an untouched in-flight index on
+      // the same lane (the walk had to step past it).
+      std::size_t skipped_in_flight = 0;
+      for (int window = 0; window < 150; ++window) {
+        std::vector<bool> touched(256, false);
+        const RegIndex hot = static_cast<RegIndex>(192 + ops.next_below(64));
+        for (int n = 0; n < 64; ++n) {
+          both_resolve(hot);
+          both_complete(hot);
+        }
+        touched[hot] = true;
+        if (ops.chance(0.3)) { // a lightly touched low index
+          const RegIndex i = static_cast<RegIndex>(ops.next_below(16));
+          both_resolve(i);
+          both_complete(i);
+          touched[i] = true;
+        }
+        // Low indices resolved now stay in flight through the next
+        // window, where they are untouched but not movable.
+        std::vector<RegIndex> next_in_flight;
+        for (int n = 0; n < 2; ++n) {
+          const RegIndex i = static_cast<RegIndex>(ops.next_below(16));
+          both_resolve(i);
+          touched[i] = true;
+          next_in_flight.push_back(i);
+        }
+        std::vector<PipelineId> before(256);
+        for (RegIndex i = 0; i < 256; ++i) before[i] = inc.pipeline_of(0, i);
+
+        const std::size_t moves = inc.rebalance();
+        ASSERT_EQ(moves, ref.rebalance_reference()) << "window " << window;
+        expect_identical_sharding(inc, ref, specs);
+        for (RegIndex i = 0; i < 256; ++i) {
+          if (inc.pipeline_of(0, i) == before[i] || touched[i]) continue;
+          ++cold_moves;
+          for (const RegIndex f : in_flight) {
+            if (f < i && before[f] == before[i] && !touched[f]) {
+              ++skipped_in_flight;
+              break;
+            }
+          }
+        }
+        for (const RegIndex i : in_flight) both_complete(i);
+        in_flight = std::move(next_in_flight);
+      }
+      EXPECT_GT(cold_moves, 50u);
+      EXPECT_GT(skipped_in_flight, 0u);
+    }
+  }
+}
+
 TEST(ShardMap, WindowDirtyTracksObservableBoundaries) {
   ShardedState state(mixed_regs(64), {true, false, true}, 4,
                      ShardingPolicy::kDynamic, Rng(3));
