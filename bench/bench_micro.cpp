@@ -28,8 +28,9 @@ void BM_StageFifoPushInsertPop(benchmark::State& state) {
   StageFifo fifo(4, 0, false);
   SeqNo seq = 0;
   for (auto _ : state) {
-    fifo.push_phantom(seq, 0, static_cast<RegIndex>(seq % 64), seq % 4);
-    fifo.insert_data(seq, static_cast<PacketRef>(seq));
+    const auto slot = fifo.push_phantom(
+        seq, 0, static_cast<RegIndex>(seq % 64), seq % 4);
+    fifo.insert_data(*slot, seq, static_cast<PacketRef>(seq));
     benchmark::DoNotOptimize(fifo.pop());
     ++seq;
   }
@@ -41,8 +42,9 @@ void BM_StageFifoIdealPop(benchmark::State& state) {
   StageFifo fifo(4, 0, true);
   SeqNo seq = 0;
   for (auto _ : state) {
-    fifo.push_phantom(seq, 0, static_cast<RegIndex>(seq % 8), seq % 4);
-    fifo.insert_data(seq, static_cast<PacketRef>(seq));
+    const auto slot = fifo.push_phantom(
+        seq, 0, static_cast<RegIndex>(seq % 8), seq % 4);
+    fifo.insert_data(*slot, seq, static_cast<PacketRef>(seq));
     benchmark::DoNotOptimize(fifo.pop());
     ++seq;
   }

@@ -2,6 +2,7 @@
 // components against varying pipelines (k) and stages (s), plus the SRAM
 // overhead estimate quoted in the same section.
 #include <iostream>
+#include <string>
 
 #include "common/table.hpp"
 #include "hw/area_model.hpp"
@@ -24,7 +25,11 @@ int main() {
       config.stages = s;
       const auto area = chip_area(config);
       const double paper = paper_table1_mm2(k, s);
-      report.row("k" + std::to_string(k) + "_s" + std::to_string(s))
+      std::string row(1, 'k'); // not "k" + ...: GCC 12 -Wrestrict
+      row += std::to_string(k);
+      row += "_s";
+      row += std::to_string(s);
+      report.row(row)
           .metric("pipelines", k)
           .metric("stages", s)
           .metric("model_mm2", area.total_mm2)

@@ -11,8 +11,14 @@
 // simulator uses this to model the paper's "dynamically adapt per-stage
 // FIFO sizes to ensure no packet loss" configuration (§4.3.1) while still
 // recording the depth high-water mark.
+//
+// The physical buffer is always a power of two, so a virtual index maps to
+// its slot with a mask instead of a 64-bit division. A bounded ring keeps
+// its exact requested capacity separately (full() and capacity() use it);
+// the slots past it are never occupied.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -26,13 +32,14 @@ class RingFifo {
 public:
   /// capacity == 0 means unbounded (grow on demand).
   explicit RingFifo(std::size_t capacity = 0)
-      : bounded_(capacity != 0),
-        buf_(capacity != 0 ? capacity : kInitialUnboundedSlots) {}
+      : cap_(capacity),
+        buf_(std::bit_ceil(capacity != 0 ? capacity : kInitialUnboundedSlots)),
+        mask_(buf_.size() - 1) {}
 
   bool empty() const noexcept { return size_ == 0; }
-  bool full() const noexcept { return bounded_ && size_ == buf_.size(); }
+  bool full() const noexcept { return cap_ != 0 && size_ == cap_; }
   std::size_t size() const noexcept { return size_; }
-  std::size_t capacity() const noexcept { return bounded_ ? buf_.size() : 0; }
+  std::size_t capacity() const noexcept { return cap_; }
 
   /// Greatest size() ever observed; used for queue-depth reporting.
   std::size_t high_water_mark() const noexcept { return high_water_; }
@@ -51,6 +58,15 @@ public:
   /// True while the entry pushed with virtual index `vidx` is still queued.
   bool contains(std::uint64_t vidx) const noexcept {
     return vidx >= head_vidx_ && vidx < head_vidx_ + size_;
+  }
+
+  /// The queued entry pushed with virtual index `vidx`, or nullptr once it
+  /// was popped (or was never pushed).
+  T* find(std::uint64_t vidx) noexcept {
+    return contains(vidx) ? &buf_[physical(vidx)] : nullptr;
+  }
+  const T* find(std::uint64_t vidx) const noexcept {
+    return contains(vidx) ? &buf_[physical(vidx)] : nullptr;
   }
 
   /// Access a queued entry by virtual index. Precondition: contains(vidx).
@@ -112,22 +128,25 @@ private:
   static constexpr std::size_t kInitialUnboundedSlots = 16;
 
   std::size_t physical(std::uint64_t vidx) const noexcept {
-    return static_cast<std::size_t>(vidx % buf_.size());
+    return static_cast<std::size_t>(vidx & mask_);
   }
 
   void grow() {
     // Unbounded mode only: re-lay entries out into a doubled buffer,
-    // preserving virtual indexes (physical slot = vidx % new_size).
+    // preserving virtual indexes (physical slot = vidx & new mask).
     std::vector<T> bigger(buf_.size() * 2);
+    const std::uint64_t bigger_mask = bigger.size() - 1;
     for (std::uint64_t v = head_vidx_; v < head_vidx_ + size_; ++v) {
-      bigger[static_cast<std::size_t>(v % bigger.size())] =
+      bigger[static_cast<std::size_t>(v & bigger_mask)] =
           std::move(buf_[physical(v)]);
     }
     buf_ = std::move(bigger);
+    mask_ = bigger_mask;
   }
 
-  bool bounded_;
+  std::size_t cap_; // requested capacity; 0 = unbounded
   std::vector<T> buf_;
+  std::uint64_t mask_; // buf_.size() - 1 (the size is a power of two)
   std::uint64_t head_vidx_ = 0;
   std::size_t size_ = 0;
   std::size_t high_water_ = 0;

@@ -56,8 +56,11 @@ private:
 
   // ---- instruction emission with CSE over pure ops -----------------------
   static std::string operand_key(const Operand& op) {
-    return op.is_const ? "#" + std::to_string(op.constant)
-                       : "s" + std::to_string(op.slot);
+    // Appended rather than `"#" + std::to_string(...)`: GCC 12 reports a
+    // false -Wrestrict on that operator+ overload in optimized builds.
+    std::string key(1, op.is_const ? '#' : 's');
+    key += op.is_const ? std::to_string(op.constant) : std::to_string(op.slot);
+    return key;
   }
 
   /// Emit a pure instruction producing a fresh temp, or reuse an existing

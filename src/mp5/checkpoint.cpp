@@ -217,7 +217,7 @@ std::string Mp5Simulator::serialize_state(Cycle now) {
   w.u64(source_ != nullptr ? source_->consumed() : 0);
 
   result_.save(w);
-  arena_.save(w);
+  arena_.save(w, opts_.phantoms && opts_.realistic_phantom_channel);
   state_->save(w);
 
   w.u64(fifos_.size());
@@ -471,12 +471,53 @@ Cycle Mp5Simulator::restore_state(ByteReader& r,
     }
   }
 
+  relink_phantoms();
   // The activity bitmap is derived state (never serialized): rebuild it
   // from the restored FIFO/arrival occupancy, so a checkpoint taken under
   // either walk restores under either.
   rebuild_activity();
 
   return now;
+}
+
+void Mp5Simulator::relink_phantoms() {
+  std::unordered_map<SeqNo, PacketRef> by_seq;
+  by_seq.reserve(arena_.live_count());
+  for (PacketRef ref = 0; ref < arena_.slot_count(); ++ref) {
+    if (arena_.live(ref)) by_seq.emplace(arena_.get(ref).seq, ref);
+  }
+  const auto packet_of = [&](SeqNo seq) -> PacketRef {
+    auto it = by_seq.find(seq);
+    if (it == by_seq.end()) {
+      throw Error("checkpoint: phantom of seq " + std::to_string(seq) +
+                  " has no live packet");
+    }
+    return it->second;
+  };
+  // Each queued phantom hands its slot back to the owner entry of its
+  // packet (Figure 4). Every other owner keeps kNoFifoVidx: its phantom is
+  // on the channel, was dropped, or has been filled or cancelled.
+  for (std::size_t c = 0; c < fifos_.size(); ++c) {
+    const auto p = static_cast<PipelineId>(c / num_stages_);
+    const auto st = static_cast<StageId>(c % num_stages_);
+    fifos_[c].for_each_phantom([&](const FifoEntry& entry, FifoSlot slot) {
+      PlannedAccess& owner =
+          phantom_owner_at(arena_.get(packet_of(entry.seq)), p, st);
+      if (owner.phantom_lane != slot.lane || owner.phantom_dropped) {
+        throw Error("checkpoint: queued phantom of seq " +
+                    std::to_string(entry.seq) +
+                    " disagrees with its packet's plan");
+      }
+      owner.phantom_vidx = slot.vidx;
+      owner.phantom_delivered = true;
+    });
+  }
+  // A channel record still wanted writes its slot back at delivery.
+  for (PendingPhantom& rec : channel_slots_) {
+    if (rec.stamp == 0 || rec.cancelled) continue;
+    rec.ref = packet_of(rec.seq);
+    (void)phantom_owner_at(arena_.get(rec.ref), rec.pipeline, rec.stage);
+  }
 }
 
 void Mp5Simulator::do_checkpoint(Cycle now) {

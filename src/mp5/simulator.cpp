@@ -590,8 +590,9 @@ void Mp5Simulator::deliver_due_phantoms(Cycle now) {
             });
   for (const auto& pending : due_scratch_) {
     auto& fifo = fifo_at(pending.pipeline, pending.stage);
-    if (!fifo.push_phantom(pending.seq, pending.reg, pending.index,
-                           pending.lane, now)) {
+    const auto slot = fifo.push_phantom(pending.seq, pending.reg,
+                                        pending.index, pending.lane, now);
+    if (!slot) {
       ++result_.dropped_phantom;
       continue; // the data packet will miss its placeholder and be dropped
     }
@@ -600,10 +601,23 @@ void Mp5Simulator::deliver_due_phantoms(Cycle now) {
          pending.stage, pending.seq);
     if (pending.cancelled) {
       // Cancelled while in flight: arrives as a zombie (one wasted pop).
-      fifo.cancel(pending.seq);
+      // Its packet may be gone and its arena slot reused, so nothing is
+      // written back.
+      fifo.cancel(*slot, pending.seq);
       emit(TimelineEvent::Kind::kCancel, now, pending.pipeline,
            pending.stage, pending.seq);
+      continue;
     }
+    // A phantom still wanted belongs to a live packet: hand it the slot.
+    if (!arena_.live(pending.ref) ||
+        arena_.get(pending.ref).seq != pending.seq) {
+      throw Error("Mp5Simulator: delivered phantom of seq " +
+                  std::to_string(pending.seq) + " has no live packet");
+    }
+    PlannedAccess& owner = phantom_owner_at(arena_.get(pending.ref),
+                                            pending.pipeline, pending.stage);
+    owner.phantom_vidx = slot->vidx;
+    owner.phantom_delivered = true;
   }
 }
 
@@ -740,9 +754,10 @@ void Mp5Simulator::check_invariants(Cycle now) const {
   const bool check_order =
       opts_.phantoms && opts_.faults.phantom_delay_rate == 0.0;
   std::uint64_t in_containers = 0;
-  // Seqs of the packets inside the switch, and the parked cells, for the
-  // parked-cell checks after the scan.
-  std::unordered_set<SeqNo> live_seqs;
+  // The packets inside the switch, the queued phantoms and the parked
+  // cells, for the phantom-slot and parked-cell checks after the scan.
+  std::vector<PacketRef> live_refs;
+  std::uint64_t queued_phantoms = 0;
   std::vector<std::size_t> parked;
   for (PipelineId p = 0; p < k_; ++p) {
     if (!lane_alive_[p] && !ingress_[p].empty()) {
@@ -751,9 +766,7 @@ void Mp5Simulator::check_invariants(Cycle now) const {
                                " has queued ingress packets");
     }
     in_containers += ingress_[p].size();
-    for (const PacketRef ref : ingress_[p]) {
-      live_seqs.insert(arena_.get(ref).seq);
-    }
+    live_refs.insert(live_refs.end(), ingress_[p].begin(), ingress_[p].end());
     for (StageId st = 0; st < num_stages_; ++st) {
       const std::size_t c = cell(p, st);
       const auto& fifo = fifos_[c];
@@ -766,7 +779,7 @@ void Mp5Simulator::check_invariants(Cycle now) const {
       }
       in_containers += arrival_count_[c];
       for (std::uint32_t i = 0; i < arrival_count_[c]; ++i) {
-        live_seqs.insert(arena_.get(arrival_slots_[c * k_ + i].ref).seq);
+        live_refs.push_back(arrival_slots_[c * k_ + i].ref);
       }
       if (parked_step_[c] != 0) {
         // Parked: the bit is clear until a wake sets it; the next visit
@@ -797,6 +810,7 @@ void Mp5Simulator::check_invariants(Cycle now) const {
       }
       fifo.check_invariants(now, check_order);
       fifo.for_each_entry([&](const FifoEntry& entry) {
+        if (entry.kind == FifoEntry::Kind::kPhantom) ++queued_phantoms;
         if (entry.kind != FifoEntry::Kind::kData) return;
         ++in_containers;
         if (!arena_.live(entry.ref)) {
@@ -805,7 +819,7 @@ void Mp5Simulator::check_invariants(Cycle now) const {
                                "arena slot");
         }
         const Packet& pkt = arena_.get(entry.ref);
-        live_seqs.insert(pkt.seq);
+        live_refs.push_back(entry.ref);
         // Invariant 2: only packets awaiting stateful processing at this
         // very cell may be queued here.
         bool awaiting_here = false;
@@ -836,6 +850,41 @@ void Mp5Simulator::check_invariants(Cycle now) const {
                              " live arena slots but " +
                              std::to_string(in_containers) +
                              " packets queued");
+  }
+  // Phantom slots (the packet-held FIFO addresses of Figure 4): every
+  // slot a live packet holds must address a queued phantom of that packet,
+  // and every queued phantom must be held by one — a packet owns at most
+  // one phantom per cell, so equal counts make the two sets match.
+  std::uint64_t held_slots = 0;
+  for (const PacketRef ref : live_refs) {
+    const Packet& pkt = arena_.get(ref);
+    for (const PlannedAccess& owner : pkt.plan) {
+      if (owner.phantom_vidx == kNoFifoVidx) continue;
+      ++held_slots;
+      if (owner.phantom_dropped || !owner.phantom_delivered ||
+          fifo_at(owner.pipeline, owner.stage)
+                  .phantom_at(slot_of(owner), pkt.seq) == nullptr) {
+        throw InvariantError(
+            "phantom-directory", now,
+            "packet seq " + std::to_string(pkt.seq) + " holds slot (" +
+                std::to_string(owner.phantom_lane) + ", " +
+                std::to_string(owner.phantom_vidx) + ") at cell (" +
+                std::to_string(owner.pipeline) + ", " +
+                std::to_string(owner.stage) +
+                "), which does not address its queued phantom");
+      }
+    }
+  }
+  if (held_slots != queued_phantoms) {
+    throw InvariantError("phantom-directory", now,
+                         std::to_string(queued_phantoms) +
+                             " queued phantoms vs " +
+                             std::to_string(held_slots) +
+                             " slots held by live packets");
+  }
+  std::unordered_set<SeqNo> live_seqs;
+  if (!parked.empty()) {
+    for (const PacketRef ref : live_refs) live_seqs.insert(arena_.get(ref).seq);
   }
   for (const std::size_t c : parked) {
     // Parking is sound only while the head is a placeholder whose data
@@ -998,6 +1047,7 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
             }
             PendingPhantom pending;
             pending.seq = pkt.seq;
+            pending.ref = ref;
             pending.reg = acc.reg;
             pending.index = acc.index;
             pending.pipeline = acc.pipeline;
@@ -1007,13 +1057,14 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
             MP5_TELEM_INC(t_phantom_sent_);
           }
         } else {
-          const bool ok = fifo_at(acc.pipeline, acc.stage)
-                              .push_phantom(pkt.seq, acc.reg, acc.index,
-                                            lane_pred, now);
-          if (!ok) {
+          const auto slot = fifo_at(acc.pipeline, acc.stage)
+                                .push_phantom(pkt.seq, acc.reg, acc.index,
+                                              lane_pred, now);
+          if (!slot) {
             acc.phantom_dropped = true;
             ++result_.dropped_phantom;
           } else {
+            acc.phantom_vidx = slot->vidx;
             mark_active(acc.pipeline, acc.stage);
             MP5_TELEM_INC(t_phantom_sent_);
             emit(TimelineEvent::Kind::kPhantomPush, now, acc.pipeline,
@@ -1067,16 +1118,23 @@ bool Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
       if (!opts_.phantoms) {
         // no-D4 ablation: queue the data packet directly at the stage.
         const SeqNo seq = pkt.seq;
-        if (!fifo.push_phantom(seq, acc->reg, acc->index, from_lane, now)) {
+        const auto slot =
+            fifo.push_phantom(seq, acc->reg, acc->index, from_lane, now);
+        if (!slot) {
           drop_packet(ref, DropCause::kData);
         } else {
           // Convert the just-pushed placeholder into the data packet.
-          fifo.insert_data(seq, ref);
+          fifo.insert_data(*slot, seq, ref);
         }
       } else if (acc->phantom_dropped) {
         emit(TimelineEvent::Kind::kDropData, now, p, st, pkt.seq);
         drop_packet(ref, DropCause::kData);
-      } else if (!fifo.has_phantom(pkt.seq)) {
+      } else if (PlannedAccess& owner = pkt.plan[acc->phantom_owner];
+                 fifo.insert_data(slot_of(owner), pkt.seq, ref)) {
+        // The packet filled the slot its phantom reserved (Figure 4).
+        owner.phantom_vidx = kNoFifoVidx;
+        emit(TimelineEvent::Kind::kInsert, now, p, st, pkt.seq);
+      } else {
         if (!opts_.realistic_phantom_channel) {
           // Defensive: phantom vanished despite not being flagged dropped.
           throw Error("Mp5Simulator: phantom missing at insert");
@@ -1104,12 +1162,6 @@ bool Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
           emit(TimelineEvent::Kind::kDropData, now, p, st, pkt.seq);
           drop_packet(ref, DropCause::kData);
         }
-      } else {
-        const SeqNo seq = pkt.seq;
-        if (!fifo.insert_data(seq, ref)) {
-          throw Error("Mp5Simulator: insert failed with phantom present");
-        }
-        emit(TimelineEvent::Kind::kInsert, now, p, st, seq);
       }
     } else {
       if (passthrough != kNullPacketRef) {
@@ -1271,12 +1323,26 @@ void Mp5Simulator::cancel_entry(Packet& pkt, std::size_t entry_idx) {
       channel_slots_[it->second].cancelled = true;
       return;
     }
-    // Already delivered (the packet's flag is stale): fall through.
+    // Off the channel but never queued (its FIFO was full at delivery, or
+    // its lane failed): the slot is empty and the cancel below is a no-op.
   }
   emit(TimelineEvent::Kind::kCancel, 0, owner_acc.pipeline, owner_acc.stage,
        pkt.seq);
-  fifo_at(owner_acc.pipeline, owner_acc.stage).cancel(pkt.seq);
+  fifo_at(owner_acc.pipeline, owner_acc.stage)
+      .cancel(slot_of(owner_acc), pkt.seq);
+  pkt.plan[owner].phantom_vidx = kNoFifoVidx; // the slot holds a zombie now
   mark_active(owner_acc.pipeline, owner_acc.stage); // wakes a parked cell
+}
+
+PlannedAccess& Mp5Simulator::phantom_owner_at(Packet& pkt, PipelineId p,
+                                              StageId st) {
+  for (std::size_t i = 0; i < pkt.plan.size(); ++i) {
+    PlannedAccess& e = pkt.plan[i];
+    if (e.phantom_owner == i && e.pipeline == p && e.stage == st) return e;
+  }
+  throw Error("Mp5Simulator: packet seq " + std::to_string(pkt.seq) +
+              " owns no phantom at (" + std::to_string(p) + ", " +
+              std::to_string(st) + ")");
 }
 
 void Mp5Simulator::drop_packet(PacketRef ref, DropCause cause) {

@@ -203,6 +203,15 @@ private:
   void exec_stage_atoms(Packet& pkt, PipelineId p, StageId st, bool from_fifo);
   void resolve_conservative_guards(Packet& pkt, StageId done_stage);
   void cancel_entry(Packet& pkt, std::size_t entry_idx);
+  /// The FIFO slot a phantom owner entry holds (Figure 4: the data packet
+  /// fills the slot its phantom reserved).
+  static FifoSlot slot_of(const PlannedAccess& owner) {
+    return FifoSlot{owner.phantom_lane, owner.phantom_vidx};
+  }
+  /// The plan entry owning the packet's phantom at cell (p, st); throws
+  /// Error when the packet has none there.
+  static PlannedAccess& phantom_owner_at(Packet& pkt, PipelineId p,
+                                         StageId st);
   void drop_packet(PacketRef ref, DropCause cause);
   void route_onwards(PacketRef ref, PipelineId p, StageId st, Cycle now);
   void egress_packet(PacketRef ref, Cycle now);
@@ -227,6 +236,11 @@ private:
   /// Returns the checkpointed cycle; `trace_consumed` receives the number
   /// of trace items already admitted (the source skip target).
   Cycle restore_state(ByteReader& r, std::uint64_t& trace_consumed);
+  /// Restore tail: re-derive the state the checkpoint does not carry —
+  /// each packet's phantom slot from the restored FIFO rings, and each
+  /// live channel record's packet ref — and validate both against the
+  /// packets' plans.
+  void relink_phantoms();
 
   // -- activity bitmap --
   //
@@ -302,6 +316,10 @@ private:
 
   struct PendingPhantom {
     SeqNo seq = kInvalidSeqNo;
+    /// The phantom's packet; a delivery that is not cancelled writes the
+    /// FIFO slot back into it. Not serialized: restore re-derives it by
+    /// seq.
+    PacketRef ref = kNullPacketRef;
     RegId reg = 0;
     RegIndex index = kUnresolvedIndex;
     PipelineId pipeline = 0;

@@ -39,6 +39,7 @@ StageFifo::StageFifo(std::uint32_t lanes, std::size_t capacity, bool ideal)
   if (!ideal_) {
     lanes_.reserve(lanes);
     for (std::uint32_t i = 0; i < lanes; ++i) lanes_.emplace_back(capacity);
+    head_seq_.assign(lanes, kInvalidSeqNo);
   }
 }
 
@@ -54,93 +55,87 @@ void StageFifo::set_telemetry(const telemetry::Scope& sink) {
                              /*buckets=*/64);
 }
 
-bool StageFifo::push_phantom(SeqNo seq, RegId reg, RegIndex index,
-                             PipelineId lane, Cycle now) {
+std::optional<FifoSlot> StageFifo::push_phantom(SeqNo seq, RegId reg,
+                                                RegIndex index,
+                                                PipelineId lane, Cycle now) {
   FifoEntry entry;
   entry.kind = FifoEntry::Kind::kPhantom;
+  entry.lane = lane;
   entry.seq = seq;
   entry.enqueued = now;
   entry.reg = reg;
   entry.index = index;
+  FifoSlot slot{lane, kNoFifoVidx};
   if (ideal_) {
     const IndexKey key = make_key(reg, index);
     if (pressure_ != 0) {
       auto it = queues_.find(key);
       if (it != queues_.end() && it->second.size() >= pressure_) {
         MP5_TELEM_INC(t_push_dropped_);
-        return false; // forced-pressure fault: treat the queue as full
+        return std::nullopt; // forced-pressure fault: treat queue as full
       }
     }
     queues_[key].push_back(std::move(entry));
-    seq_key_[seq] = key;
-    directory_[seq] = Address{lane, 0};
+    slot.vidx = key;
   } else {
-    if (pressure_ != 0 && lanes_[lane].size() >= pressure_) {
+    RingFifo<FifoEntry>& ring = lanes_[lane];
+    if (pressure_ != 0 && ring.size() >= pressure_) {
       MP5_TELEM_INC(t_push_dropped_);
-      return false; // forced-pressure fault: treat the lane as full
+      return std::nullopt; // forced-pressure fault: treat the lane as full
     }
-    auto vidx = lanes_[lane].push(std::move(entry));
+    const auto vidx = ring.push(std::move(entry));
     if (!vidx) {
       MP5_TELEM_INC(t_push_dropped_);
-      return false; // dropped: lane full
+      return std::nullopt; // dropped: lane full
     }
-    directory_[seq] = Address{lane, *vidx};
+    if (ring.size() == 1) head_seq_[lane] = seq;
+    slot.vidx = *vidx;
   }
   ++live_entries_;
   high_water_ = std::max(high_water_, live_entries_);
   MP5_TELEM_INC(t_push_);
   MP5_TELEM_OBSERVE(t_depth_, static_cast<double>(live_entries_));
-  return true;
+  return slot;
 }
 
-bool StageFifo::insert_data(SeqNo seq, PacketRef ref) {
-  auto it = directory_.find(seq);
-  if (it == directory_.end()) return false;
+const FifoEntry* StageFifo::phantom_at(FifoSlot slot, SeqNo seq) const {
+  return const_cast<StageFifo*>(this)->find_phantom(slot, seq);
+}
+
+FifoEntry* StageFifo::find_phantom(FifoSlot slot, SeqNo seq) {
+  FifoEntry* entry = nullptr;
   if (ideal_) {
-    const IndexKey key = seq_key_.at(seq);
-    auto& queue = queues_.at(key);
-    FifoEntry* entry = find_by_seq(queue, seq);
-    if (entry == nullptr || entry->kind != FifoEntry::Kind::kPhantom) {
-      throw Error("StageFifo::insert_data: entry is not a phantom");
-    }
-    entry->kind = FifoEntry::Kind::kData;
-    entry->ref = ref;
-    if (&queue.front() == entry) eligible_[seq] = key;
-  } else {
-    auto& entry = lanes_[it->second.lane].at(it->second.vidx);
-    if (entry.kind != FifoEntry::Kind::kPhantom) {
-      throw Error("StageFifo::insert_data: entry is not a phantom");
-    }
-    entry.kind = FifoEntry::Kind::kData;
-    entry.ref = ref;
+    auto it = queues_.find(slot.vidx);
+    if (it != queues_.end()) entry = find_by_seq(it->second, seq);
+  } else if (slot.lane < lanes_.size()) {
+    entry = lanes_[slot.lane].find(slot.vidx);
   }
-  directory_.erase(it);
+  if (entry == nullptr || entry->seq != seq ||
+      entry->kind != FifoEntry::Kind::kPhantom) {
+    return nullptr;
+  }
+  return entry;
+}
+
+bool StageFifo::insert_data(FifoSlot slot, SeqNo seq, PacketRef ref) {
+  FifoEntry* entry = find_phantom(slot, seq);
+  if (entry == nullptr) return false;
+  entry->kind = FifoEntry::Kind::kData;
+  entry->ref = ref;
+  if (ideal_ && &queues_.at(slot.vidx).front() == entry) {
+    eligible_[seq] = slot.vidx;
+  }
   MP5_TELEM_INC(t_insert_);
   return true;
 }
 
-void StageFifo::cancel(SeqNo seq) {
-  auto it = directory_.find(seq);
-  if (it == directory_.end()) return; // phantom was dropped
+bool StageFifo::cancel(FifoSlot slot, SeqNo seq) {
+  FifoEntry* entry = find_phantom(slot, seq);
+  if (entry == nullptr) return false; // dropped or drained phantom
   MP5_TELEM_INC(t_cancel_);
-  if (ideal_) {
-    const IndexKey key = seq_key_.at(seq);
-    auto& queue = queues_.at(key);
-    FifoEntry* entry = find_by_seq(queue, seq);
-    if (entry == nullptr || entry->kind != FifoEntry::Kind::kPhantom) {
-      throw Error("StageFifo::cancel: entry is not a phantom");
-    }
-    entry->kind = FifoEntry::Kind::kCancelled;
-    directory_.erase(it);
-    ideal_settle_front(key); // free reclamation in the ideal design
-  } else {
-    auto& entry = lanes_[it->second.lane].at(it->second.vidx);
-    if (entry.kind != FifoEntry::Kind::kPhantom) {
-      throw Error("StageFifo::cancel: entry is not a phantom");
-    }
-    entry.kind = FifoEntry::Kind::kCancelled;
-    directory_.erase(it);
-  }
+  entry->kind = FifoEntry::Kind::kCancelled;
+  if (ideal_) ideal_settle_front(slot.vidx); // free reclamation
+  return true;
 }
 
 void StageFifo::ideal_settle_front(IndexKey key) {
@@ -149,7 +144,6 @@ void StageFifo::ideal_settle_front(IndexKey key) {
   auto& queue = qit->second;
   while (!queue.empty() &&
          queue.front().kind == FifoEntry::Kind::kCancelled) {
-    seq_key_.erase(queue.front().seq);
     queue.pop_front();
     --live_entries_;
   }
@@ -205,7 +199,6 @@ std::vector<PacketRef> StageFifo::drain_all() {
     }
     queues_.clear();
     eligible_.clear();
-    seq_key_.clear();
   } else {
     for (auto& lane : lanes_) {
       while (!lane.empty()) {
@@ -215,8 +208,8 @@ std::vector<PacketRef> StageFifo::drain_all() {
         lane.pop_front();
       }
     }
+    head_seq_.assign(lanes_.size(), kInvalidSeqNo);
   }
-  directory_.clear();
   live_entries_ = 0;
   return data;
 }
@@ -277,22 +270,19 @@ void StageFifo::for_each_entry(
 
 void StageFifo::check_invariants(Cycle now, bool check_order) const {
   std::size_t counted = 0;
-  std::size_t phantoms = 0;
   if (ideal_) {
     for (const auto& [key, queue] : queues_) {
       SeqNo prev = 0;
       bool first = true;
       for (const auto& entry : queue) {
         ++counted;
-        if (entry.kind == FifoEntry::Kind::kPhantom) ++phantoms;
         if (entry.kind == FifoEntry::Kind::kEmpty) {
           throw InvariantError("fifo-entry", now, "empty entry queued");
         }
-        auto it = seq_key_.find(entry.seq);
-        if (it == seq_key_.end() || it->second != key) {
-          throw InvariantError("phantom-directory", now,
-                               "seq->index map out of sync for seq " +
-                                   std::to_string(entry.seq));
+        if (make_key(entry.reg, entry.index) != key) {
+          throw InvariantError("fifo-entry", now,
+                               "seq " + std::to_string(entry.seq) +
+                                   " queued under another index's queue");
         }
         if (check_order && !first && entry.seq <= prev) {
           throw InvariantError("invariant-1", now,
@@ -312,14 +302,22 @@ void StageFifo::check_invariants(Cycle now, bool check_order) const {
       }
     }
   } else {
-    for (const auto& lane : lanes_) {
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+      const auto& lane = lanes_[l];
+      const SeqNo head = lane.empty() ? kInvalidSeqNo : lane.front().seq;
+      if (head_seq_[l] != head) {
+        throw InvariantError("fifo-head-cache", now,
+                             "lane " + std::to_string(l) +
+                                 " caches head seq " +
+                                 std::to_string(head_seq_[l]) + " but holds " +
+                                 std::to_string(head));
+      }
       if (lane.empty()) continue;
       SeqNo prev = 0;
       bool first = true;
       for (std::uint64_t v = lane.front_vidx(); lane.contains(v); ++v) {
         const FifoEntry& entry = lane.at(v);
         ++counted;
-        if (entry.kind == FifoEntry::Kind::kPhantom) ++phantoms;
         if (entry.kind == FifoEntry::Kind::kEmpty) {
           throw InvariantError("fifo-entry", now, "empty entry queued");
         }
@@ -339,35 +337,6 @@ void StageFifo::check_invariants(Cycle now, bool check_order) const {
                          "live_entries=" + std::to_string(live_entries_) +
                              " but " + std::to_string(counted) +
                              " entries queued");
-  }
-  if (phantoms != directory_.size()) {
-    throw InvariantError("phantom-directory", now,
-                         std::to_string(phantoms) + " queued phantoms vs " +
-                             std::to_string(directory_.size()) +
-                             " directory entries");
-  }
-  for (const auto& [seq, addr] : directory_) {
-    const FifoEntry* entry = nullptr;
-    if (ideal_) {
-      auto kit = seq_key_.find(seq);
-      if (kit != seq_key_.end()) {
-        auto qit = queues_.find(kit->second);
-        if (qit != queues_.end()) {
-          entry = find_by_seq(const_cast<std::deque<FifoEntry>&>(qit->second),
-                              seq);
-        }
-      }
-    } else {
-      if (addr.lane < lanes_.size() && lanes_[addr.lane].contains(addr.vidx)) {
-        entry = &lanes_[addr.lane].at(addr.vidx);
-      }
-    }
-    if (entry == nullptr || entry->seq != seq ||
-        entry->kind != FifoEntry::Kind::kPhantom) {
-      throw InvariantError("phantom-directory", now,
-                           "directory entry for seq " + std::to_string(seq) +
-                               " does not address a queued phantom");
-    }
   }
 }
 
@@ -399,11 +368,45 @@ FifoEntry load_entry(ByteReader& r) {
 
 } // namespace
 
+void StageFifo::for_each_phantom(
+    const std::function<void(const FifoEntry&, FifoSlot)>& fn) const {
+  if (ideal_) {
+    for (const auto& [key, queue] : queues_) {
+      for (const FifoEntry& entry : queue) {
+        if (entry.kind == FifoEntry::Kind::kPhantom) {
+          fn(entry, FifoSlot{entry.lane, key});
+        }
+      }
+    }
+    return;
+  }
+  for (std::size_t l = 0; l < lanes_.size(); ++l) {
+    const auto& lane = lanes_[l];
+    if (lane.empty()) continue;
+    for (std::uint64_t v = lane.front_vidx(); lane.contains(v); ++v) {
+      const FifoEntry& entry = lane.at(v);
+      if (entry.kind == FifoEntry::Kind::kPhantom) {
+        fn(entry, FifoSlot{static_cast<PipelineId>(l), v});
+      }
+    }
+  }
+}
+
+std::vector<StageFifo::DirRecord> StageFifo::phantom_directory() const {
+  std::vector<DirRecord> dir;
+  for_each_phantom([&](const FifoEntry& entry, FifoSlot slot) {
+    dir.push_back({entry.seq, slot.lane, ideal_ ? 0 : slot.vidx, &entry});
+  });
+  std::sort(dir.begin(), dir.end(),
+            [](const DirRecord& a, const DirRecord& b) { return a.seq < b.seq; });
+  return dir;
+}
+
 void StageFifo::save(ByteWriter& w) const {
   w.boolean(ideal_);
   if (ideal_) {
     // queues_ and eligible_ are std::maps: iteration order is already
-    // deterministic. seq_key_ is derivable from queues_ and not written.
+    // deterministic.
     w.u64(queues_.size());
     for (const auto& [key, queue] : queues_) {
       w.u64(key);
@@ -421,24 +424,18 @@ void StageFifo::save(ByteWriter& w) const {
       w.u64(lane.base_vidx());
       w.u64(lane.size());
       w.u64(lane.high_water_mark());
-      if (!lane.empty()) {
-        for (std::uint64_t v = lane.front_vidx(); lane.contains(v); ++v) {
-          save_entry(w, lane.at(v));
-        }
+      if (lane.empty()) continue;
+      for (std::uint64_t v = lane.front_vidx(); lane.contains(v); ++v) {
+        save_entry(w, lane.at(v));
       }
     }
   }
-  // directory_ is an unordered_map used for keyed lookup only: write it
-  // sorted by seq for a byte-stable payload.
-  std::vector<std::pair<SeqNo, Address>> dir(directory_.begin(),
-                                             directory_.end());
-  std::sort(dir.begin(), dir.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::vector<DirRecord> dir = phantom_directory();
   w.u64(dir.size());
-  for (const auto& [seq, addr] : dir) {
-    w.u64(seq);
-    w.u32(addr.lane);
-    w.u64(addr.vidx);
+  for (const DirRecord& rec : dir) {
+    w.u64(rec.seq);
+    w.u32(rec.lane);
+    w.u64(rec.vidx);
   }
   w.u64(live_entries_);
   w.u64(high_water_);
@@ -454,7 +451,6 @@ void StageFifo::load(ByteReader& r) {
   if (ideal_) {
     queues_.clear();
     eligible_.clear();
-    seq_key_.clear();
     const std::uint64_t nqueues = r.count(8);
     for (std::uint64_t q = 0; q < nqueues; ++q) {
       const IndexKey key = r.u64();
@@ -462,7 +458,6 @@ void StageFifo::load(ByteReader& r) {
       const std::uint64_t nentries = r.count(8);
       for (std::uint64_t i = 0; i < nentries; ++i) {
         queue.push_back(load_entry(r));
-        seq_key_[queue.back().seq] = key;
       }
       if (queue.empty()) {
         throw Error("checkpoint: empty ideal queue serialized");
@@ -478,7 +473,8 @@ void StageFifo::load(ByteReader& r) {
     if (nlanes != lanes_.size()) {
       throw Error("checkpoint: StageFifo lane count mismatch");
     }
-    for (auto& lane : lanes_) {
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+      auto& lane = lanes_[l];
       const std::uint64_t base = r.u64();
       const std::uint64_t size = r.u64();
       const std::uint64_t lane_hw = r.u64();
@@ -487,43 +483,48 @@ void StageFifo::load(ByteReader& r) {
       }
       // restore_base re-establishes the virtual-index origin, so each
       // push below reproduces the checkpointed run's vidx values exactly
-      // (the directory below addresses entries by them).
+      // (the directory below and the packets' slots address entries by
+      // them).
       lane.restore_base(base, static_cast<std::size_t>(lane_hw));
       for (std::uint64_t i = 0; i < size; ++i) {
-        if (!lane.push(load_entry(r))) {
+        FifoEntry entry = load_entry(r);
+        entry.lane = static_cast<PipelineId>(l);
+        if (!lane.push(entry)) {
           throw Error("checkpoint: StageFifo lane overflow on restore");
         }
       }
+      head_seq_[l] = lane.empty() ? kInvalidSeqNo : lane.front().seq;
     }
   }
-  directory_.clear();
-  const std::uint64_t ndir = r.count(20);
-  for (std::uint64_t i = 0; i < ndir; ++i) {
+  // The directory must be exactly the one save() derives from the queued
+  // phantoms: same seqs, same order, same slots. Ideal-mode entries do not
+  // record their lane, so the directory supplies it.
+  const std::vector<DirRecord> expect = phantom_directory();
+  if (r.count(20) != expect.size()) {
+    throw Error("checkpoint: FIFO directory does not cover every queued "
+                "phantom");
+  }
+  for (const DirRecord& rec : expect) {
     const SeqNo seq = r.u64();
-    Address addr{};
-    addr.lane = r.u32();
-    addr.vidx = r.u64();
-    if (!ideal_) {
-      if (addr.lane >= lanes_.size() ||
-          !lanes_[addr.lane].contains(addr.vidx)) {
-        throw Error("checkpoint: FIFO directory addresses a stale entry");
-      }
+    const PipelineId lane = r.u32();
+    const std::uint64_t vidx = r.u64();
+    if (seq != rec.seq || vidx != rec.vidx || (!ideal_ && lane != rec.lane)) {
+      throw Error("checkpoint: FIFO directory addresses a stale entry");
     }
-    directory_[seq] = addr;
+    if (ideal_) const_cast<FifoEntry*>(rec.entry)->lane = lane;
   }
   live_entries_ = static_cast<std::size_t>(r.u64());
   high_water_ = static_cast<std::size_t>(r.u64());
 }
 
 std::size_t StageFifo::min_head_lane() const {
+  // Empty lanes cache kInvalidSeqNo, which no queued entry carries.
   std::size_t best = lanes_.size();
   SeqNo best_seq = kInvalidSeqNo;
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    if (lanes_[i].empty()) continue;
-    const SeqNo seq = lanes_[i].front().seq;
-    if (best == lanes_.size() || seq < best_seq) {
+  for (std::size_t i = 0; i < head_seq_.size(); ++i) {
+    if (head_seq_[i] < best_seq) {
       best = i;
-      best_seq = seq;
+      best_seq = head_seq_[i];
     }
   }
   return best;
@@ -555,27 +556,26 @@ StageFifo::PopResult StageFifo::pop_lanes() {
   PopResult result;
   const std::size_t lane = min_head_lane();
   if (lane == lanes_.size()) return result; // kIdle
-  RingFifo<FifoEntry>* best = &lanes_[lane];
-  FifoEntry& head = best->front();
+  RingFifo<FifoEntry>& best = lanes_[lane];
+  const FifoEntry& head = best.front();
   switch (head.kind) {
     case FifoEntry::Kind::kPhantom:
       result.kind = PopResult::Kind::kBlocked;
       return result;
     case FifoEntry::Kind::kCancelled:
-      best->pop_front();
-      --live_entries_;
       result.kind = PopResult::Kind::kWasted;
-      return result;
+      break;
     case FifoEntry::Kind::kData:
       result.kind = PopResult::Kind::kData;
       result.ref = head.ref;
-      best->pop_front();
-      --live_entries_;
-      return result;
-    case FifoEntry::Kind::kEmpty:
       break;
+    case FifoEntry::Kind::kEmpty:
+      throw Error("StageFifo::pop: empty entry at head");
   }
-  throw Error("StageFifo::pop: empty entry at head");
+  best.pop_front();
+  --live_entries_;
+  head_seq_[lane] = best.empty() ? kInvalidSeqNo : best.front().seq;
+  return result;
 }
 
 StageFifo::PopResult StageFifo::pop_ideal() {
@@ -594,7 +594,6 @@ StageFifo::PopResult StageFifo::pop_ideal() {
   }
   result.kind = PopResult::Kind::kData;
   result.ref = queue.front().ref;
-  seq_key_.erase(seq);
   queue.pop_front();
   --live_entries_;
   ideal_settle_front(key);

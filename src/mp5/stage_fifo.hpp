@@ -5,9 +5,16 @@
 // with three operations:
 //   push(pkt, fifo_id)         — phantom (or baseline data) tail append;
 //                                 dropped when the bounded FIFO is full.
+//                                 Returns the slot address (lane, vidx).
 //   insert(pkt, addr, fifo_id) — replace a queued phantom in place with
-//                                 its data packet (addr from a directory
-//                                 keyed by the packet id).
+//                                 its data packet. As in Figure 4, the
+//                                 packet itself carries the address its
+//                                 phantom's push returned
+//                                 (PlannedAccess::phantom_lane/phantom_vidx);
+//                                 the FIFO checks that the slot still holds
+//                                 that packet's phantom, so a stale slot
+//                                 (drained lane, dropped phantom) reads as
+//                                 absent.
 //   pop()                      — among the k lane heads, take the entry
 //                                 with the smallest timestamp; a phantom
 //                                 head blocks (that is how D4 enforces
@@ -22,20 +29,21 @@
 //
 // Timestamps are the packets' global arrival sequence numbers. Within one
 // lane, phantoms are pushed in arrival order, so every lane is seq-sorted
-// and the smallest-head rule yields global arrival order.
+// and the smallest-head rule yields global arrival order. Each lane's head
+// seq is cached in one contiguous array, so choosing the head scans k
+// integers.
 //
 // The `ideal` mode implements the no-head-of-line-blocking upper bound of
 // §3.5.2/§4.3.3: ordering is enforced per register index rather than per
 // stage (as if there were one FIFO per index), and cancelled phantoms are
-// reclaimed for free.
+// reclaimed for free. Its slots name the per-index queue, searched by seq.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <map>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "common/ring_buffer.hpp"
@@ -53,31 +61,45 @@ class Counter;
 class Scope;
 }
 
+/// Address of one queued phantom: the lane it was pushed into and its
+/// ring virtual index there — in ideal mode, the (reg, index) key of its
+/// per-index queue instead. kNoFifoVidx addresses nothing.
+struct FifoSlot {
+  PipelineId lane = 0;
+  std::uint64_t vidx = kNoFifoVidx;
+};
+
 class StageFifo {
 public:
   /// capacity: per-lane entry budget; 0 = unbounded (the simulator's
   /// adaptive no-loss configuration, §4.3.1).
   StageFifo(std::uint32_t lanes, std::size_t capacity, bool ideal);
 
-  /// Returns false when the phantom was dropped (lane full).
-  bool push_phantom(SeqNo seq, RegId reg, RegIndex index, PipelineId lane,
-                    Cycle now = 0);
+  /// Append a phantom to `lane`. Returns its slot, which the packet keeps
+  /// for insert_data/cancel, or nullopt when the phantom was dropped
+  /// (lane full).
+  std::optional<FifoSlot> push_phantom(SeqNo seq, RegId reg, RegIndex index,
+                                       PipelineId lane, Cycle now = 0);
 
   /// Enqueue cycle of the oldest lane-head entry, if any — the age input
   /// to the §3.4 starvation guard.
   std::optional<Cycle> oldest_head_enqueue() const;
 
-  bool has_phantom(SeqNo seq) const { return directory_.count(seq) != 0; }
+  /// The queued phantom of packet `seq` at `slot`, or nullptr when the
+  /// slot no longer holds it: the ring popped or drained past the slot, or
+  /// the entry there belongs to another packet or is no longer a phantom.
+  const FifoEntry* phantom_at(FifoSlot slot, SeqNo seq) const;
 
-  /// Replace the packet's phantom with the packet itself (by arena ref;
-  /// the FIFO never dereferences packet contents). Returns false if the
-  /// phantom is absent (it was dropped at push time) — the caller must
-  /// drop the data packet (§3.4 "handling packet drops").
-  bool insert_data(SeqNo seq, PacketRef ref);
+  /// Replace the packet's phantom at `slot` with the packet itself (by
+  /// arena ref; the FIFO never dereferences packet contents). Returns
+  /// false if the slot does not hold the phantom (phantom_at) — the caller
+  /// must drop the data packet (§3.4 "handling packet drops").
+  bool insert_data(FifoSlot slot, SeqNo seq, PacketRef ref);
 
   /// Cancel the phantom of a conservative access whose guard evaluated
-  /// false (§3.3). No-op if the phantom was dropped.
-  void cancel(SeqNo seq);
+  /// false (§3.3). Returns false, changing nothing, if the slot does not
+  /// hold the phantom (it was dropped, or its lane was drained).
+  bool cancel(FifoSlot slot, SeqNo seq);
 
   struct PopResult {
     enum class Kind : std::uint8_t {
@@ -122,7 +144,8 @@ public:
 
   /// Empty the FIFO completely (lane death): every queued data packet is
   /// returned to the caller for drop accounting; phantoms and cancelled
-  /// entries die with the lane.
+  /// entries die with the lane, and every slot handed out so far goes
+  /// stale.
   std::vector<PacketRef> drain_all();
 
   /// Remove every queued data packet matching `pred`, converting its slot
@@ -135,20 +158,31 @@ public:
   /// Visit every queued entry (any kind), in no particular order.
   void for_each_entry(const std::function<void(const FifoEntry&)>& fn) const;
 
-  /// Watchdog: verify internal consistency — occupancy accounting,
-  /// per-lane seq ordering (`check_order`; Invariant 1 implies each
-  /// source lane is seq-sorted, but injected phantom delays legitimately
-  /// break it), and phantom-directory coherence. Throws InvariantError.
+  /// Visit every queued phantom with its slot, in no particular order
+  /// (checkpoint restore hands each packet its slot back from these).
+  void for_each_phantom(
+      const std::function<void(const FifoEntry&, FifoSlot)>& fn) const;
+
+  /// Watchdog: verify internal consistency — occupancy accounting, the
+  /// cached lane heads, per-lane seq ordering (`check_order`; Invariant 1
+  /// implies each source lane is seq-sorted, but injected phantom delays
+  /// legitimately break it), and (ideal mode) the per-index queue keys
+  /// and the eligible set. Throws
+  /// InvariantError. That every queued phantom is addressed by exactly
+  /// one packet is checked by Mp5Simulator::check_invariants, which holds
+  /// the packets.
   void check_invariants(Cycle now, bool check_order = true) const;
 
   // -- checkpoint/restore --
 
-  /// Serialize queued entries, the phantom directory (with exact ring
-  /// virtual indexes), and occupancy stats. Hash-map contents are written
-  /// in a sorted order so the payload is byte-stable across runs.
+  /// Serialize queued entries, a phantom directory (seq, lane, vidx) of
+  /// every queued phantom sorted by seq — the packets hold the slots, so
+  /// it is rebuilt from the rings — and occupancy stats.
   void save(ByteWriter& w) const;
   /// Restore into a freshly constructed (empty) StageFifo of the same
-  /// configuration; throws Error on any structural mismatch.
+  /// configuration; throws Error on any structural mismatch, including a
+  /// directory record that does not address a queued phantom or a queued
+  /// phantom no record addresses.
   void load(ByteReader& r);
 
 private:
@@ -161,6 +195,17 @@ private:
   /// Index of the lane whose head has the smallest seq (lanes_.size()
   /// when every lane is empty) — the pop order of the non-ideal FIFO.
   std::size_t min_head_lane() const;
+  FifoEntry* find_phantom(FifoSlot slot, SeqNo seq);
+
+  /// One record of the checkpoint's phantom directory.
+  struct DirRecord {
+    SeqNo seq;
+    PipelineId lane;
+    std::uint64_t vidx; // 0 in ideal mode
+    const FifoEntry* entry;
+  };
+  /// Every queued phantom with its slot, sorted by seq.
+  std::vector<DirRecord> phantom_directory() const;
   PopResult pop_lanes();
   PopResult pop_ideal();
   /// Drop cancelled entries from the front of an ideal per-index queue
@@ -169,16 +214,13 @@ private:
 
   bool ideal_;
   std::vector<RingFifo<FifoEntry>> lanes_;
+  /// Seq of each lane's head entry, kInvalidSeqNo for an empty lane
+  /// (updated at push into an empty lane, pop, drain and load).
+  std::vector<SeqNo> head_seq_;
   /// Ideal mode: one FIFO per register index (each seq-ordered), plus the
   /// set of index heads that are data packets, ordered by seq.
   std::map<IndexKey, std::deque<FifoEntry>> queues_;
   std::map<SeqNo, IndexKey> eligible_;
-  std::unordered_map<SeqNo, IndexKey> seq_key_;
-  struct Address {
-    PipelineId lane;
-    std::uint64_t vidx;
-  };
-  std::unordered_map<SeqNo, Address> directory_;
   std::size_t live_entries_ = 0;
   std::size_t high_water_ = 0;
   std::size_t pressure_ = 0; // forced capacity clamp; 0 = off

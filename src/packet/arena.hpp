@@ -34,7 +34,14 @@ namespace mp5 {
 /// included (headers, the full access plan with phantom bookkeeping, and
 /// the next_access cursor) — an in-flight packet restored from a
 /// checkpoint must continue through the pipeline bit-identically.
-inline void save_packet(ByteWriter& w, const Packet& pkt) {
+///
+/// The phantom FIFO slot (phantom_vidx) is derived state and not written:
+/// the restoring simulator recomputes it from the FIFO rings. So is the
+/// delivery write-back of a realistic phantom channel (`channel_phantoms`):
+/// the format records phantom_delivered as it stood at admission, false
+/// for every access of such a run, and the restore re-derives it.
+inline void save_packet(ByteWriter& w, const Packet& pkt,
+                        bool channel_phantoms = false) {
   w.u64(pkt.seq);
   w.u64(pkt.arrival_cycle);
   w.u32(pkt.port);
@@ -58,7 +65,7 @@ inline void save_packet(ByteWriter& w, const Packet& pkt) {
     w.u32(a.phantom_lane);
     w.u64(a.phantom_owner);
     w.boolean(a.phantom_dropped);
-    w.boolean(a.phantom_delivered);
+    w.boolean(!channel_phantoms && a.phantom_delivered);
   }
   w.u64(pkt.next_access);
 }
@@ -158,12 +165,13 @@ public:
   /// Checkpoint serialization. Released slots were reset at release()
   /// time, so only live slots carry packet content; the freelist order is
   /// preserved exactly (it determines which slot the next alloc reuses,
-  /// and FIFO entries address packets by slot index).
-  void save(ByteWriter& w) const {
+  /// and FIFO entries address packets by slot index). `channel_phantoms`:
+  /// see save_packet.
+  void save(ByteWriter& w, bool channel_phantoms = false) const {
     w.u64(slots_.size());
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       w.boolean(in_use_[i]);
-      if (in_use_[i]) save_packet(w, slots_[i]);
+      if (in_use_[i]) save_packet(w, slots_[i], channel_phantoms);
     }
     w.u64(free_.size());
     for (const PacketRef ref : free_) w.u32(ref);

@@ -30,6 +30,11 @@ using PacketRef = std::uint32_t;
 inline constexpr PacketRef kNullPacketRef =
     std::numeric_limits<PacketRef>::max();
 
+/// A stage-FIFO virtual index that addresses no entry (see FifoSlot in
+/// mp5/stage_fifo.hpp).
+inline constexpr std::uint64_t kNoFifoVidx =
+    std::numeric_limits<std::uint64_t>::max();
+
 /// How certain the address-resolution stage is that a planned state access
 /// will actually happen.
 enum class GuardStatus : std::uint8_t {
@@ -74,6 +79,12 @@ struct PlannedAccess {
   // --- phantom bookkeeping (filled by the simulator) ---
   /// FIFO lane the phantom was pushed into at the destination stage.
   PipelineId phantom_lane = 0;
+  /// Owner entries: the phantom's virtual index in that lane, returned by
+  /// its push (Figure 4: the data packet fills the slot its phantom
+  /// reserved). kNoFifoVidx until the phantom is queued, and again once
+  /// the data packet has been inserted into the slot. Derived state: a
+  /// checkpoint restore recomputes it from the FIFO rings.
+  std::uint64_t phantom_vidx = kNoFifoVidx;
   /// Index (into the packet's plan) of the entry owning the phantom this
   /// access rides on. Accesses to co-located arrays in the same stage
   /// share one phantom; an entry owning its own phantom points at itself.
@@ -81,8 +92,9 @@ struct PlannedAccess {
   /// True if the phantom was dropped at push time (FIFO full); the data
   /// packet is then dropped on arrival at that stage (§3.4).
   bool phantom_dropped = false;
-  /// Realistic-channel mode: false while the phantom is still in flight
-  /// on the phantom channel (cancellation then intercepts it there).
+  /// Realistic-channel mode: false until the phantom channel delivers the
+  /// phantom into its FIFO (cancellation intercepts it on the channel
+  /// until then); set by the delivery that writes back phantom_vidx.
   bool phantom_delivered = true;
 };
 
@@ -137,10 +149,13 @@ struct Packet {
 /// that replaced its phantom (via the FIFO `insert` operation), or a
 /// cancelled phantom awaiting its wasted pop cycle. Entries address their
 /// data packet through the run's PacketArena, keeping the FIFO rings dense
-/// (a 32-byte POD per entry instead of an embedded Packet).
+/// (a 40-byte POD per entry instead of an embedded Packet).
 struct FifoEntry {
   enum class Kind : std::uint8_t { kEmpty, kPhantom, kData, kCancelled };
   Kind kind = Kind::kEmpty;
+  /// FIFO lane the entry was pushed into (its source pipeline). Kept for
+  /// the checkpoint's phantom directory; fills the padding after `kind`.
+  PipelineId lane = 0;
   /// Timestamp used by pop(): the owning packet's arrival sequence number.
   SeqNo seq = kInvalidSeqNo;
   /// Cycle the entry was pushed (phantom generation time); drives the

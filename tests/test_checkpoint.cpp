@@ -3,6 +3,7 @@
 // configuration, must reproduce the uninterrupted run's SimResult
 // field-by-field, for every matrix cell and fault plan.
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "mp5/checkpoint.hpp"
 #include "mp5/simulator.hpp"
 #include "trace/trace_source.hpp"
+#include "trace/workloads.hpp"
 #include "test_util.hpp"
 
 namespace mp5 {
@@ -487,6 +489,121 @@ TEST(CheckpointRestore, ReplicatedRefusesCrossVariantRestore) {
   {
     ScrSimulator sim(prog, scr_options(4, 1));
     EXPECT_THROW((void)sim.resume(trace, "not a checkpoint"), Error);
+  }
+}
+
+// -- checkpoint byte stability across FIFO addressing ----------------------
+//
+// The mp5-checkpoint v1 payload is a file format: changing how the stage
+// FIFOs address a packet's phantom (a hash directory keyed by seq, or a
+// slot held by the packet) must not change a single byte of it. Each
+// digest below is the FNV-1a of every checkpoint blob of a run,
+// concatenated, recorded from the seq-keyed-directory implementation.
+
+struct DigestSetup {
+  const char* name;
+  SimOptions opts;
+  std::uint64_t digest;
+};
+
+std::vector<DigestSetup> digest_setups() {
+  SimOptions realistic = mp5_options(8, 1);
+  realistic.realistic_phantom_channel = true;
+  realistic.faults.phantom_loss_rate = 0.02;
+  realistic.faults.phantom_delay_rate = 0.2;
+  realistic.faults.phantom_extra_delay = 4;
+  return {
+      {"lanes-dense-k8", mp5_options(8, 1), 0xe509c6e102d71e04ull},
+      {"ideal", ideal_options(8, 1), 0x36e9bb05ecf11a4aull},
+      {"realistic-channel-delayed", realistic, 0xdd824b03ffb956e8ull},
+  };
+}
+
+TEST(CheckpointBytes, DigestsMatchSeqKeyedDirectoryImplementation) {
+  const apps::AppSpec app = apps::flowlet_app();
+  const Mp5Program prog = test::compile_mp5(app.source);
+  FlowWorkloadConfig wl;
+  wl.pipelines = 8;
+  wl.packets = 3000;
+  wl.load = 1.0;
+  wl.seed = 7;
+  const Trace trace = make_flow_trace(wl, app.filler);
+
+  for (const DigestSetup& setup : digest_setups()) {
+    SCOPED_TRACE(setup.name);
+    SimOptions opts = setup.opts;
+    opts.record_egress = true;
+    opts.paranoid_checks = true;
+    const SimResult baseline = Mp5Simulator(prog, opts).run(trace);
+    EXPECT_GT(baseline.blocked_cycles, 0u);
+
+    std::vector<std::pair<Cycle, std::string>> blobs;
+    SimOptions copts = opts;
+    copts.checkpoint_interval = 97;
+    copts.checkpoint_sink = [&blobs](Cycle c, std::string&& blob) {
+      blobs.emplace_back(c, std::move(blob));
+    };
+    const SimResult ckpt_run = Mp5Simulator(prog, copts).run(trace);
+    std::string why;
+    ASSERT_TRUE(same_results(baseline, ckpt_run, &why)) << why;
+    ASSERT_GT(blobs.size(), 4u);
+
+    // Pick the checkpoint to resume from: one taken with phantoms queued
+    // (and, on the realistic channel, phantoms still in flight). The blob
+    // at cycle b holds the state after cycle b - 1: a blocked pop in that
+    // cycle saw a queued phantom head, and a phantom of a packet admitted
+    // before b that is delivered at or after b was in flight.
+    std::set<Cycle> blocked_cycles;
+    std::vector<Cycle> admit_cycle;
+    std::vector<std::pair<Cycle, SeqNo>> pushes;
+    SimOptions topts = opts;
+    topts.timeline = [&](const TimelineEvent& e) {
+      if (e.kind == TimelineEvent::Kind::kAdmit) {
+        admit_cycle.resize(std::max<std::size_t>(admit_cycle.size(),
+                                                 e.seq + 1));
+        admit_cycle[e.seq] = e.cycle;
+      } else if (e.kind == TimelineEvent::Kind::kBlocked) {
+        blocked_cycles.insert(e.cycle);
+      } else if (e.kind == TimelineEvent::Kind::kPhantomPush) {
+        pushes.emplace_back(e.cycle, e.seq);
+      }
+    };
+    (void)Mp5Simulator(prog, topts).run(trace);
+    const auto in_flight_at = [&](Cycle b) {
+      for (const auto& [cycle, seq] : pushes) {
+        if (cycle >= b && admit_cycle.at(seq) < b) return true;
+      }
+      return false;
+    };
+    std::size_t pick = blobs.size();
+    const std::size_t mid = blobs.size() / 2;
+    const auto distance = [mid](std::size_t i) {
+      return i > mid ? i - mid : mid - i;
+    };
+    for (std::size_t i = 1; i < blobs.size(); ++i) {
+      const Cycle b = blobs[i].first;
+      if (blocked_cycles.count(b - 1) == 0) continue;
+      if (opts.realistic_phantom_channel && !in_flight_at(b)) continue;
+      if (pick == blobs.size() || distance(i) < distance(pick)) pick = i;
+    }
+    ASSERT_LT(pick, blobs.size()) << "no checkpoint with queued phantoms";
+    if (opts.realistic_phantom_channel) {
+      EXPECT_GT(baseline.phantom_delayed, 0u);
+    }
+
+    std::string all;
+    for (const auto& [cycle, blob] : blobs) all += blob;
+    const std::uint64_t digest = fnv1a(all);
+    EXPECT_EQ(digest, setup.digest)
+        << std::hex << "digest 0x" << digest << std::dec << " over "
+        << blobs.size() << " blobs";
+
+    // Restore-and-resume from the picked blob is bit-identical to the
+    // uninterrupted run.
+    Mp5Simulator restored(prog, opts);
+    VectorTraceSource source(trace);
+    const SimResult resumed = restored.resume(source, blobs[pick].second);
+    EXPECT_TRUE(same_results(baseline, resumed, &why)) << why;
   }
 }
 

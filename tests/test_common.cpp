@@ -208,6 +208,87 @@ TEST(RingFifo, WrapAroundReusesSlots) {
   }
 }
 
+TEST(RingFifo, NonPowerOfTwoCapacityDropsAtExactlyCap) {
+  // The physical buffer is rounded up to a power of two; the requested
+  // capacity still decides when a push drops.
+  for (const std::size_t cap : {3u, 5u, 6u, 7u}) {
+    SCOPED_TRACE(cap);
+    RingFifo<int> fifo(cap);
+    EXPECT_EQ(fifo.capacity(), cap);
+    for (std::size_t round = 0; round < 3; ++round) {
+      for (std::size_t i = 0; i < cap; ++i) {
+        ASSERT_TRUE(fifo.push(static_cast<int>(i)).has_value());
+      }
+      EXPECT_TRUE(fifo.full());
+      EXPECT_FALSE(fifo.push(-1).has_value());
+      EXPECT_EQ(fifo.size(), cap);
+      // Empty it: the next round starts cap slots further on, at another
+      // physical offset of the power-of-two buffer.
+      while (!fifo.empty()) fifo.pop_front();
+    }
+    EXPECT_EQ(fifo.high_water_mark(), cap);
+  }
+  RingFifo<int> unbounded(0);
+  EXPECT_EQ(unbounded.capacity(), 0u);
+  EXPECT_FALSE(unbounded.full());
+}
+
+TEST(RingFifo, AddressesStableAcrossWrapAndGrowthAfterRestoreBase) {
+  // A restored ring resumes at an arbitrary, unaligned virtual index; the
+  // masks must keep every queued address valid through wrap and growth.
+  const std::uint64_t base = (std::uint64_t{1} << 40) + 3;
+  for (const std::size_t cap : {0u, 5u}) {
+    SCOPED_TRACE(cap);
+    RingFifo<int> fifo(cap);
+    fifo.restore_base(base, 0);
+    EXPECT_EQ(fifo.base_vidx(), base);
+    std::vector<std::uint64_t> vidx;
+    int next = 0;
+    int popped = 0;
+    for (int step = 0; step < 200; ++step) {
+      // Fill faster than draining so the unbounded ring grows twice over.
+      for (int i = 0; i < 2; ++i) {
+        const auto v = fifo.push(next);
+        if (!v) break;
+        EXPECT_EQ(*v, base + static_cast<std::uint64_t>(next));
+        vidx.push_back(*v);
+        ++next;
+      }
+      if (step % 3 == 0 || cap != 0) {
+        EXPECT_EQ(fifo.front(), popped);
+        fifo.pop_front();
+        ++popped;
+      }
+      for (int i = popped; i < next; ++i) {
+        ASSERT_TRUE(fifo.contains(vidx[i]));
+        ASSERT_EQ(fifo.at(vidx[i]), i);
+        ASSERT_EQ(*fifo.find(vidx[i]), i);
+      }
+    }
+    if (cap == 0) {
+      EXPECT_GT(fifo.high_water_mark(), 64u);
+    }
+  }
+}
+
+TEST(RingFifo, PoppedVirtualIndexesAreNotContained) {
+  RingFifo<int> fifo(3);
+  std::vector<std::uint64_t> popped;
+  for (int i = 0; i < 10; ++i) {
+    const auto v = fifo.push(i);
+    ASSERT_TRUE(v.has_value());
+    popped.push_back(*v);
+    fifo.pop_front();
+    // The physical slot is reused by the next push, but the popped
+    // virtual index never becomes valid again.
+    for (const std::uint64_t old : popped) {
+      EXPECT_FALSE(fifo.contains(old));
+      EXPECT_EQ(fifo.find(old), nullptr);
+    }
+  }
+  EXPECT_FALSE(fifo.contains(popped.back() + 1)); // never pushed
+}
+
 TEST(TextTable, FormatsAlignedRows) {
   TextTable t({"name", "value"});
   t.add_row({"alpha", TextTable::num(1.5, 2)});

@@ -9,6 +9,8 @@
 
 #include <deque>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/ring_buffer.hpp"
@@ -109,20 +111,21 @@ TEST(StageFifoFuzz, MatchesSortedModel) {
     model.lanes.resize(lanes);
     model.capacity = capacity;
     SeqNo next_seq = 0;
-    std::vector<SeqNo> live_phantoms;
+    std::vector<std::pair<SeqNo, FifoSlot>> live_phantoms;
 
     for (int op = 0; op < 20000; ++op) {
       switch (rng.next_below(5)) {
         case 0:
         case 1: { // push phantom
           const auto lane = static_cast<PipelineId>(rng.next_below(lanes));
-          const bool ok = fifo.push_phantom(next_seq, 0, 0, lane);
+          const auto slot = fifo.push_phantom(next_seq, 0, 0, lane);
           const bool model_ok =
               capacity == 0 || model.lanes[lane].size() < capacity;
-          ASSERT_EQ(ok, model_ok);
-          if (ok) {
+          ASSERT_EQ(slot.has_value(), model_ok);
+          if (slot) {
+            ASSERT_EQ(slot->lane, lane);
             model.lanes[lane].push_back({next_seq, 0});
-            live_phantoms.push_back(next_seq);
+            live_phantoms.emplace_back(next_seq, *slot);
           }
           ++next_seq;
           break;
@@ -130,20 +133,21 @@ TEST(StageFifoFuzz, MatchesSortedModel) {
         case 2: { // insert data for a random live phantom
           if (live_phantoms.empty()) break;
           const auto pick = rng.next_below(live_phantoms.size());
-          const SeqNo seq = live_phantoms[pick];
+          const auto [seq, slot] = live_phantoms[pick];
           live_phantoms.erase(live_phantoms.begin() +
                               static_cast<std::ptrdiff_t>(pick));
-          ASSERT_TRUE(fifo.insert_data(seq, static_cast<PacketRef>(seq)));
+          ASSERT_TRUE(
+              fifo.insert_data(slot, seq, static_cast<PacketRef>(seq)));
           model.find(seq)->state = 1;
           break;
         }
         case 3: { // cancel a random live phantom
           if (live_phantoms.empty()) break;
           const auto pick = rng.next_below(live_phantoms.size());
-          const SeqNo seq = live_phantoms[pick];
+          const auto [seq, slot] = live_phantoms[pick];
           live_phantoms.erase(live_phantoms.begin() +
                               static_cast<std::ptrdiff_t>(pick));
-          fifo.cancel(seq);
+          ASSERT_TRUE(fifo.cancel(slot, seq));
           model.find(seq)->state = 2;
           break;
         }

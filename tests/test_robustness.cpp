@@ -4,6 +4,7 @@
 // ShardedState.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_map>
 
 #include "apps/programs.hpp"
@@ -12,6 +13,7 @@
 #include "mp5/shard_map.hpp"
 #include "mp5/simulator.hpp"
 #include "mp5/stage_fifo.hpp"
+#include "trace/trace_source.hpp"
 #include "test_util.hpp"
 
 namespace mp5::test {
@@ -165,37 +167,46 @@ TEST(DropAccounting, StarvationGuardDropsAreCounted) {
 
 TEST(StageFifoFaults, DrainAllReturnsDataAndEmptiesEverything) {
   StageFifo fifo(2, 0, /*ideal=*/false);
-  ASSERT_TRUE(fifo.push_phantom(0, 0, 0, 0));
-  ASSERT_TRUE(fifo.push_phantom(1, 0, 1, 1));
-  ASSERT_TRUE(fifo.push_phantom(2, 0, 2, 0));
-  ASSERT_TRUE(fifo.insert_data(1, ref_for(1)));
-  fifo.cancel(2);
+  const auto s0 = fifo.push_phantom(0, 0, 0, 0);
+  const auto s1 = fifo.push_phantom(1, 0, 1, 1);
+  const auto s2 = fifo.push_phantom(2, 0, 2, 0);
+  ASSERT_TRUE(s0);
+  ASSERT_TRUE(s1);
+  ASSERT_TRUE(s2);
+  ASSERT_TRUE(fifo.insert_data(*s1, 1, ref_for(1)));
+  ASSERT_TRUE(fifo.cancel(*s2, 2));
 
   const auto data = fifo.drain_all();
   ASSERT_EQ(data.size(), 1u); // phantoms and zombies die silently
   EXPECT_EQ(data[0], ref_for(1));
   EXPECT_EQ(fifo.size(), 0u);
-  EXPECT_FALSE(fifo.has_phantom(0));
+  EXPECT_EQ(fifo.phantom_at(*s0, 0), nullptr);
   EXPECT_EQ(fifo.pop().kind, Kind::kIdle);
   // The FIFO is reusable after a drain.
-  ASSERT_TRUE(fifo.push_phantom(7, 0, 0, 0));
-  ASSERT_TRUE(fifo.insert_data(7, ref_for(7)));
+  const auto s7 = fifo.push_phantom(7, 0, 0, 0);
+  ASSERT_TRUE(s7);
+  ASSERT_TRUE(fifo.insert_data(*s7, 7, ref_for(7)));
   EXPECT_EQ(fifo.pop().ref, ref_for(7));
 }
 
 TEST(StageFifoFaults, ExtractDataIfLeavesReclaimableZombies) {
   StageFifo fifo(1, 0, /*ideal=*/false);
-  ASSERT_TRUE(fifo.push_phantom(0, 0, 0, 0));
-  ASSERT_TRUE(fifo.push_phantom(1, 0, 0, 0));
-  ASSERT_TRUE(fifo.push_phantom(2, 0, 0, 0));
-  ASSERT_TRUE(fifo.insert_data(0, ref_for(0)));
-  ASSERT_TRUE(fifo.insert_data(1, ref_for(1)));
-  ASSERT_TRUE(fifo.insert_data(2, ref_for(2)));
+  std::vector<FifoSlot> slots;
+  for (SeqNo s = 0; s < 3; ++s) {
+    const auto slot = fifo.push_phantom(s, 0, 0, 0);
+    ASSERT_TRUE(slot);
+    slots.push_back(*slot);
+  }
+  for (SeqNo s = 0; s < 3; ++s) {
+    ASSERT_TRUE(fifo.insert_data(slots[s], s, ref_for(s)));
+  }
 
   const auto extracted =
       fifo.extract_data_if([](PacketRef r) { return r == ref_for(1); });
   ASSERT_EQ(extracted.size(), 1u);
   EXPECT_EQ(extracted[0], ref_for(1));
+  // The dropped packet's cancel finds a zombie, not its phantom: no-op.
+  EXPECT_FALSE(fifo.cancel(slots[1], 1));
   // FIFO addressing stays intact: seq 0 pops, the extracted slot costs
   // one wasted pop, then seq 2 pops.
   EXPECT_EQ(fifo.pop().ref, ref_for(0));
@@ -216,12 +227,14 @@ TEST(StageFifoFaults, PressureClampForcesPushFailures) {
 TEST(StageFifoFaults, IdealModeSupportsDrainExtractAndPressure) {
   StageFifo fifo(2, 0, /*ideal=*/true);
   fifo.set_pressure_capacity(1);
-  ASSERT_TRUE(fifo.push_phantom(0, 0, 5, 0));
+  const auto s0 = fifo.push_phantom(0, 0, 5, 0);
+  ASSERT_TRUE(s0);
   EXPECT_FALSE(fifo.push_phantom(1, 0, 5, 0)); // same index: clamped
-  ASSERT_TRUE(fifo.push_phantom(2, 0, 6, 0));  // other index: own queue
+  const auto s2 = fifo.push_phantom(2, 0, 6, 0); // other index: own queue
+  ASSERT_TRUE(s2);
   fifo.set_pressure_capacity(0);
-  ASSERT_TRUE(fifo.insert_data(0, ref_for(0)));
-  ASSERT_TRUE(fifo.insert_data(2, ref_for(2)));
+  ASSERT_TRUE(fifo.insert_data(*s0, 0, ref_for(0)));
+  ASSERT_TRUE(fifo.insert_data(*s2, 2, ref_for(2)));
 
   const auto extracted =
       fifo.extract_data_if([](PacketRef r) { return r == ref_for(0); });
@@ -229,8 +242,9 @@ TEST(StageFifoFaults, IdealModeSupportsDrainExtractAndPressure) {
   EXPECT_EQ(fifo.pop().ref, ref_for(2));
   EXPECT_EQ(fifo.pop().kind, Kind::kIdle);
 
-  ASSERT_TRUE(fifo.push_phantom(5, 0, 7, 0));
-  ASSERT_TRUE(fifo.insert_data(5, ref_for(5)));
+  const auto s5 = fifo.push_phantom(5, 0, 7, 0);
+  ASSERT_TRUE(s5);
+  ASSERT_TRUE(fifo.insert_data(*s5, 5, ref_for(5)));
   const auto data = fifo.drain_all();
   ASSERT_EQ(data.size(), 1u);
   EXPECT_EQ(data[0], ref_for(5));
@@ -239,16 +253,146 @@ TEST(StageFifoFaults, IdealModeSupportsDrainExtractAndPressure) {
 
 TEST(StageFifoFaults, CheckInvariantsPassesOnHealthyFifo) {
   StageFifo fifo(2, 0, /*ideal=*/false);
-  ASSERT_TRUE(fifo.push_phantom(0, 0, 0, 0));
+  const auto s0 = fifo.push_phantom(0, 0, 0, 0);
+  ASSERT_TRUE(s0);
   ASSERT_TRUE(fifo.push_phantom(1, 0, 1, 1));
-  ASSERT_TRUE(fifo.insert_data(0, ref_for(0)));
+  ASSERT_TRUE(fifo.insert_data(*s0, 0, ref_for(0)));
   EXPECT_NO_THROW(fifo.check_invariants(/*now=*/10));
 
   StageFifo ideal(2, 0, /*ideal=*/true);
-  ASSERT_TRUE(ideal.push_phantom(0, 0, 3, 0));
+  const auto i0 = ideal.push_phantom(0, 0, 3, 0);
+  ASSERT_TRUE(i0);
   ASSERT_TRUE(ideal.push_phantom(1, 0, 3, 0));
-  ASSERT_TRUE(ideal.insert_data(0, ref_for(0)));
+  ASSERT_TRUE(ideal.insert_data(*i0, 0, ref_for(0)));
   EXPECT_NO_THROW(ideal.check_invariants(/*now=*/10));
+}
+
+// --- packet-held phantom slots in the simulator ---------------------------
+
+TEST(PhantomSlots, ZombieDeliveryWritesNothingBack) {
+  // A phantom cancelled while still on the realistic channel arrives as a
+  // zombie. Its packet was dropped (a data packet that overtook its
+  // delayed phantom; the arena slot may already hold a later packet) or
+  // lives on with every access cancelled by a stateful guard. Either way
+  // the delivery must not hand the packet a slot: the paranoid check runs
+  // every cycle, and a written-back slot would address a cancelled entry.
+  struct Case {
+    const char* name;
+    std::string source;
+    std::size_t fields;
+  };
+  // The guarded access sits mid-pipeline, so a packet whose phantom was
+  // cancelled on the channel is still in flight when the zombie arrives.
+  const std::string guarded_mid_pipeline = R"(
+    struct Packet { int key; int v; int a; int b; int c; int out; };
+    int gate[64] = {0};
+    int acc[64] = {0};
+    void f(struct Packet p) {
+      gate[p.key % 64] = gate[p.key % 64] + 1;
+      if (gate[p.key % 64] & 1) {
+        acc[p.v % 64] = acc[p.v % 64] + p.v;
+      }
+      p.a = p.v * 3 + p.key;
+      p.b = p.a * p.a + p.v;
+      p.c = p.b * p.b + p.a;
+      p.out = p.c * p.c + p.b;
+    }
+  )";
+  const Case cases[] = {
+      {"overtaken", apps::make_synthetic_source(2, 32), 3},
+      {"guard-cancelled", guarded_mid_pipeline, 6},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto prog = compile_mp5(c.source);
+    Rng rng(131);
+    const auto trace =
+        trace_from_fields(random_fields(3000, c.fields, 32, rng), 4, 0.6);
+    SimOptions opts = mp5_options(4, 9);
+    opts.realistic_phantom_channel = true;
+    opts.faults.phantom_delay_rate = 0.3;
+    opts.faults.phantom_extra_delay = 6;
+    opts.record_egress = true;
+    opts.paranoid_checks = true;
+
+    // Zombie deliveries: a phantom push followed at once by its cancel.
+    std::uint64_t zombies = 0;
+    TimelineEvent last_push;
+    SimOptions topts = opts;
+    topts.timeline = [&](const TimelineEvent& e) {
+      if (e.kind == TimelineEvent::Kind::kPhantomPush) last_push = e;
+      if (e.kind == TimelineEvent::Kind::kCancel && e.cycle != 0 &&
+          e.cycle == last_push.cycle && e.seq == last_push.seq &&
+          e.pipeline == last_push.pipeline && e.stage == last_push.stage) {
+        ++zombies;
+      }
+    };
+    SimResult traced;
+    ASSERT_NO_THROW(traced = Mp5Simulator(prog, topts).run(trace));
+    EXPECT_GT(zombies, 0u);
+    EXPECT_GT(traced.phantom_delayed, 0u);
+    EXPECT_EQ(traced.offered, traced.egressed + traced.dropped_data +
+                                  traced.dropped_starved +
+                                  traced.dropped_fault);
+
+    const SimResult event = Mp5Simulator(prog, opts).run(trace);
+    SimOptions ref_opts = opts;
+    ref_opts.engine = SimEngine::kLockstep;
+    const SimResult reference = Mp5Simulator(prog, ref_opts).run(trace);
+    std::string why;
+    EXPECT_TRUE(same_results(reference, event, &why)) << why;
+    EXPECT_TRUE(same_results(reference, traced, &why)) << why;
+  }
+}
+
+TEST(PhantomSlots, ParanoidCheckFiresOnCorruptedSlot) {
+  // Corrupt the slot a just-admitted packet holds for a phantom two or
+  // more stages ahead (so the packet cannot reach it during the next
+  // cycle) and step once: the cycle-end watchdog must name the
+  // phantom-directory invariant, for a slot pointing elsewhere in the
+  // ring and for a slot dropped altogether.
+  const auto prog = compile_mp5(apps::make_synthetic_source(3, 16));
+  Rng rng(137);
+  const auto trace = trace_from_fields(random_fields(400, 4, 16, rng), 4);
+  for (const bool ideal : {false, true}) {
+    for (const bool drop_slot : {false, true}) {
+      SCOPED_TRACE(std::string(ideal ? "ideal" : "lanes") +
+                   (drop_slot ? " / slot dropped" : " / slot shifted"));
+      SimOptions opts = ideal ? ideal_options(4, 3) : mp5_options(4, 3);
+      opts.paranoid_checks = true;
+      Mp5Simulator sim(prog, opts);
+      VectorTraceSource source(trace);
+      sim.begin(source);
+      PlannedAccess* victim = nullptr;
+      Cycle now = 0;
+      for (; now < 50 && victim == nullptr; ++now) {
+        sim.step(now);
+        const PacketArena& arena = sim.arena();
+        for (PacketRef ref = 0; ref < arena.slot_count(); ++ref) {
+          if (!arena.live(ref)) continue;
+          // The test owns the simulator: writing through the arena's
+          // const view is how it reaches a packet's private bookkeeping.
+          auto& pkt = const_cast<Packet&>(arena.get(ref));
+          if (pkt.arrival_cycle != now) continue;
+          for (PlannedAccess& e : pkt.plan) {
+            if (e.stage >= 2 && e.phantom_vidx != kNoFifoVidx) victim = &e;
+          }
+        }
+      }
+      ASSERT_NE(victim, nullptr);
+      if (drop_slot) {
+        victim->phantom_vidx = kNoFifoVidx;
+      } else {
+        victim->phantom_vidx += 1;
+      }
+      try {
+        sim.step(now);
+        ADD_FAILURE() << "corrupted slot went unnoticed";
+      } catch (const InvariantError& err) {
+        EXPECT_EQ(err.invariant(), "phantom-directory") << err.what();
+      }
+    }
+  }
 }
 
 // --- ShardedState lane liveness -----------------------------------------

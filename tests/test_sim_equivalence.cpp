@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <string>
 
 #include "apps/programs.hpp"
 #include "baseline/presets.hpp"
@@ -176,8 +177,11 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{4, 1}, SweepParam{4, 2}, SweepParam{4, 3},
                       SweepParam{8, 1}, SweepParam{8, 2}, SweepParam{16, 1}),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
-      return "k" + std::to_string(info.param.pipelines) + "_seed" +
-             std::to_string(info.param.seed);
+      std::string name(1, 'k'); // not "k" + ...: GCC 12 -Wrestrict
+      name += std::to_string(info.param.pipelines);
+      name += "_seed";
+      name += std::to_string(info.param.seed);
+      return name;
     });
 
 
@@ -287,7 +291,9 @@ TEST_P(PhantomChannelEquivalence, HoldsWithPhysicalChannel) {
 INSTANTIATE_TEST_SUITE_P(Pipelines, PhantomChannelEquivalence,
                          ::testing::Values(2u, 4u, 8u),
                          [](const ::testing::TestParamInfo<std::uint32_t>& i) {
-                           return "k" + std::to_string(i.param);
+                           std::string name(1, 'k');
+                           name += std::to_string(i.param);
+                           return name;
                          });
 
 } // namespace
